@@ -105,7 +105,7 @@ func collect(pass *analysis.Pass) *facts {
 							return true
 						}
 						if v, ok := s.Obj().(*types.Var); ok {
-							f.atomicFields[v] = true
+							f.atomicFields[v.Origin()] = true
 							f.atomicSites[sel] = true
 						}
 						return true
@@ -216,6 +216,7 @@ func checkFunc(pass *analysis.Pass, f *facts, decl *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
+		v = v.Origin() // a generic type's instances share its annotated fields
 		if mu, guarded := f.guardedBy[v]; guarded {
 			if !isLockedHelper && !locked[mu] && !pass.Ann.PhaseExclusive(sel.Pos(), decl) {
 				pass.Reportf(sel.Pos(),
@@ -251,6 +252,7 @@ func checkGoClosure(pass *analysis.Pass, f *facts, decl *ast.FuncDecl, lit *ast.
 		if !ok {
 			return true
 		}
+		v = v.Origin()
 		if _, guarded := f.guardedBy[v]; guarded {
 			return true // sub-check 1 owns guarded fields
 		}

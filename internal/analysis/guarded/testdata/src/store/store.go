@@ -88,3 +88,27 @@ func (s *Store) SpinLocked(k string) {
 		close(s.done)
 	}()
 }
+
+// Index is a generic guarded map. Instantiating it substitutes its
+// field objects, which must still resolve to the annotated declaration.
+type Index[T any] struct {
+	mu   sync.Mutex
+	byID map[string]T //redhip:guardedby mu
+}
+
+// Get locks the mutex before touching byID.
+func (x *Index[T]) Get(id string) T {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.byID[id]
+}
+
+// Peek reads the type-parameterised field with no lock.
+func (x *Index[T]) Peek(id string) T {
+	return x.byID[id] // want `field byID is //redhip:guardedby mu`
+}
+
+// PeekInt reads it through a concrete instantiation with no lock.
+func PeekInt(x *Index[int]) int {
+	return x.byID["a"] // want `field byID is //redhip:guardedby mu`
+}

@@ -111,7 +111,7 @@ type Router struct {
 	opts      Options
 	client    *http.Client // no global timeout: SSE streams live long
 	members   *membership
-	jobs      *jobTable
+	jobs      *serve.Registry[*routedJob]
 	metrics   *routerMetrics
 	mux       *http.ServeMux
 	baseCtx   context.Context
@@ -128,7 +128,7 @@ func New(opts Options) (*Router, error) {
 	rt := &Router{
 		opts:     opts,
 		client:   &http.Client{Transport: opts.Transport},
-		jobs:     newJobTable(opts.MaxJobs),
+		jobs:     serve.NewRegistry[*routedJob]("r-%08d", opts.MaxJobs, true),
 		metrics:  &routerMetrics{},
 		mux:      http.NewServeMux(),
 		baseCtx:  ctx,
@@ -193,7 +193,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid job spec: %v", err))
+		serve.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("invalid job spec: %v", err))
 		return
 	}
 	// Normalise here with the same code the replica runs, so the key the
@@ -201,42 +201,37 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// spec is what gets forwarded (and re-forwarded on a re-home).
 	norm, err := spec.Normalized()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		serve.HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := norm.CanonicalKey()
 
-	j, created, err := rt.jobs.resolve(key, norm, time.Now())
+	j, created, err := rt.jobs.Resolve(key, nil, func(id string) *routedJob {
+		return newRoutedJob(id, key, norm, time.Now())
+	})
 	if err != nil {
+		// The table never outgrows MaxJobs, so a full one holds exactly
+		// that many live jobs.
 		rt.metrics.inc(&rt.metrics.rejected)
 		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusTooManyRequests, err.Error())
+		serve.HTTPError(w, http.StatusTooManyRequests, fmt.Sprintf("cluster: job table full (%d live jobs)", rt.opts.MaxJobs))
 		return
 	}
-	rt.metrics.inc(&rt.metrics.submitted)
 	if !created {
 		rt.metrics.inc(&rt.metrics.deduped)
 		rt.respondSubmit(w, j, true)
 		return
 	}
 
-	owner := rt.members.Ring().Owner(key)
-	if owner == "" {
-		rt.finalizeRouted(j, serve.StateCancelled, "not admitted: no ready replicas", nil)
-		rt.metrics.inc(&rt.metrics.rejected)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "no ready replicas")
-		return
-	}
-	m := rt.members.get(owner)
+	// An empty ring has no owner; an owner can also leave the ring
+	// snapshot's member set (die and be evicted) between the Owner
+	// lookup and here. Both mean no ready replica.
+	m := rt.members.get(rt.members.Ring().Owner(key))
 	if m == nil {
-		// The owner left the ring snapshot's member set (died and was
-		// evicted) between the Owner lookup and here — same answer as an
-		// empty ring.
 		rt.finalizeRouted(j, serve.StateCancelled, "not admitted: no ready replicas", nil)
 		rt.metrics.inc(&rt.metrics.rejected)
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "no ready replicas")
+		serve.HTTPError(w, http.StatusServiceUnavailable, "no ready replicas")
 		return
 	}
 	epoch, ok := j.beginEpoch(0)
@@ -247,9 +242,10 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rid, rej, err := rt.submitToReplica(r.Context(), m, norm)
 	if err != nil {
 		rt.finalizeRouted(j, serve.StateCancelled, "not admitted: replica unreachable: "+err.Error(), nil)
+		rt.metrics.inc(&rt.metrics.rejected)
 		w.Header().Set(ReplicaHeader, m.Name)
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusBadGateway, "replica "+m.Name+" unreachable: "+err.Error())
+		serve.HTTPError(w, http.StatusBadGateway, "replica "+m.Name+" unreachable: "+err.Error())
 		return
 	}
 	if rej != nil {
@@ -267,7 +263,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		rt.respondSubmit(w, j, true)
 		return
 	}
-	j.appendEvent("routed", routedData{Replica: m.Name, ReplicaJobID: rid})
+	j.Publish("routed", routedData{Replica: m.Name, ReplicaJobID: rid})
 	// The placement scan in onMemberDead matches on the assigned member
 	// name; if the member died between our ring read and the assign, the
 	// scan may have run before the assignment existed — re-home here.
@@ -281,7 +277,10 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rt.respondSubmit(w, j, false)
 }
 
+// respondSubmit answers 202 with the job's current status — the one
+// exit that counts as an accepted submission.
 func (rt *Router) respondSubmit(w http.ResponseWriter, j *routedJob, deduped bool) {
+	rt.metrics.inc(&rt.metrics.submitted)
 	st := j.status(false)
 	if st.Replica != "" {
 		w.Header().Set(ReplicaHeader, st.Replica)
@@ -289,7 +288,7 @@ func (rt *Router) respondSubmit(w http.ResponseWriter, j *routedJob, deduped boo
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, submitResponse{
+	serve.WriteJSON(w, submitResponse{
 		ID:      j.ID,
 		Key:     j.Key,
 		State:   st.State,
@@ -355,19 +354,19 @@ func (rt *Router) forwardRejection(w http.ResponseWriter, replica string, rej *r
 // --- status / events / results -------------------------------------------------
 
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := rt.jobs.list()
+	jobs := rt.jobs.List()
 	out := make([]RoutedStatus, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.status(false)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, out)
+	serve.WriteJSON(w, out)
 }
 
 func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
-	j := rt.jobs.get(r.PathValue("id"))
+	j := rt.jobs.Get(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		serve.HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	st := j.status(r.URL.Query().Get("results") != "false")
@@ -375,13 +374,13 @@ func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(ReplicaHeader, st.Replica)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, st)
+	serve.WriteJSON(w, st)
 }
 
 func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := rt.jobs.get(r.PathValue("id"))
+	j := rt.jobs.Get(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		serve.HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	member, rid := j.requestCancel()
@@ -404,57 +403,30 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(ReplicaHeader, st.Replica)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, st)
+	serve.WriteJSON(w, st)
 }
 
 func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := rt.jobs.get(r.PathValue("id"))
+	j := rt.jobs.Get(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		serve.HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-
-	replay, live, unsub := j.subscribe()
-	defer unsub()
-	for _, ev := range replay {
-		writeSSE(w, ev)
-	}
-	fl.Flush()
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok {
-				return
-			}
-			writeSSE(w, ev)
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	serve.StreamEvents(w, r, &j.Lifecycle)
 }
 
 // handleResults re-serves the executing replica's /results bytes
 // verbatim — the drill diffs this output against a single-replica
 // reference, so the router must not re-encode.
 func (rt *Router) handleResults(w http.ResponseWriter, r *http.Request) {
-	j := rt.jobs.get(r.PathValue("id"))
+	j := rt.jobs.Get(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		serve.HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	st := j.status(true)
 	if st.State != serve.StateDone {
-		httpError(w, http.StatusConflict, fmt.Sprintf("job is %s, results exist only for done jobs", st.State))
+		serve.HTTPError(w, http.StatusConflict, fmt.Sprintf("job is %s, results exist only for done jobs", st.State))
 		return
 	}
 	if st.Replica != "" {
@@ -464,11 +436,6 @@ func (rt *Router) handleResults(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(st.Results)
 }
 
-// writeSSE renders one event in text/event-stream framing.
-func writeSSE(w http.ResponseWriter, ev serve.Event) {
-	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Type, ev.Data)
-}
-
 // --- membership endpoints ------------------------------------------------------
 
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -476,20 +443,20 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid registration: %v", err))
+		serve.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("invalid registration: %v", err))
 		return
 	}
 	if body.Name == "" || body.BaseURL == "" || body.Version == "" {
-		httpError(w, http.StatusBadRequest, "registration requires name, base_url and version")
+		serve.HTTPError(w, http.StatusBadRequest, "registration requires name, base_url and version")
 		return
 	}
 	m, err := rt.members.register(body.Name, strings.TrimSuffix(body.BaseURL, "/"), body.Version)
 	if err != nil {
-		httpError(w, http.StatusConflict, err.Error())
+		serve.HTTPError(w, http.StatusConflict, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, registerResponse{
+	serve.WriteJSON(w, registerResponse{
 		MemberStatus:    m.status(),
 		DeadAfterMillis: rt.deadAfterFloor().Milliseconds(),
 	})
@@ -527,12 +494,12 @@ func (rt *Router) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 		out.Members = append(out.Members, m.status())
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, out)
+	serve.WriteJSON(w, out)
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, struct {
+	serve.WriteJSON(w, struct {
 		Status  string `json:"status"`
 		Version string `json:"version"`
 	}{Status: "ok", Version: version.String()})
@@ -553,7 +520,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	writeJSON(w, resp)
+	serve.WriteJSON(w, resp)
 }
 
 // --- metrics -------------------------------------------------------------------
@@ -562,9 +529,9 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // member/job gauges read live at render time.
 type routerMetrics struct {
 	mu                sync.Mutex
-	submitted         uint64 // POST /v1/jobs accepted (new or deduped)
+	submitted         uint64 // POST /v1/jobs answered 202 (new or deduped)
 	deduped           uint64 // submissions attached to an existing routed job
-	rejected          uint64 // submissions the router itself refused
+	rejected          uint64 // submissions the router itself refused (no replica, unreachable, table full)
 	proxiedRejections uint64 // replica 4xx/5xx verdicts forwarded verbatim
 	rehomes           uint64 // jobs re-submitted after losing their replica
 	watchReconnects   uint64 // watcher stream reconnects (same replica)
@@ -619,7 +586,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	counter("redhip_router_jobs_submitted_total", "Accepted job submissions (new plus deduplicated).", snap.submitted)
 	counter("redhip_router_jobs_deduped_total", "Submissions attached to an existing routed job by spec key.", snap.deduped)
-	counter("redhip_router_jobs_rejected_total", "Submissions the router refused (no replicas, table full).", snap.rejected)
+	counter("redhip_router_jobs_rejected_total", "Submissions the router refused (no replicas, replica unreachable, table full).", snap.rejected)
 	counter("redhip_router_proxied_rejections_total", "Replica rejections (429/503/400) forwarded verbatim.", snap.proxiedRejections)
 	counter("redhip_router_rehomes_total", "Jobs re-submitted to a new owner after losing their replica.", snap.rehomes)
 	counter("redhip_router_watch_reconnects_total", "Watcher SSE reconnects to the same replica.", snap.watchReconnects)
@@ -642,23 +609,5 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "%s{state=%q} %d\n", mn, st, byState[MemberState(st)])
 	}
 	gauge("redhip_router_ring_size", "Replicas currently in the ring (ready).", float64(rt.members.Ring().Size()))
-	gauge("redhip_router_jobs_tracked", "Routed jobs resident in the table (all states).", float64(rt.jobs.size()))
-}
-
-// --- small helpers -------------------------------------------------------------
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	writeJSON(w, errorBody{Error: msg})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // client gone is the only failure; nothing to do
+	gauge("redhip_router_jobs_tracked", "Routed jobs resident in the table (all states).", float64(rt.jobs.Len()))
 }

@@ -189,12 +189,18 @@ func (f *fakeReplica) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // newTestRouter builds a router with drill-speed probing and serves it.
 func newTestRouter(t *testing.T) (*Router, string) {
 	t.Helper()
+	return newTestRouterMaxJobs(t, 64)
+}
+
+// newTestRouterMaxJobs is newTestRouter with a chosen job-table bound.
+func newTestRouterMaxJobs(t *testing.T, maxJobs int) (*Router, string) {
+	t.Helper()
 	rt, err := New(Options{
 		ProbeInterval:    20 * time.Millisecond,
 		ProbeTimeout:     500 * time.Millisecond,
 		FailThreshold:    2,
 		SuccessThreshold: 1,
-		MaxJobs:          64,
+		MaxJobs:          maxJobs,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -9,36 +9,33 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"redhip/internal/serve"
 )
 
-// routedJob is the router's view of one submitted spec: which replica
-// runs it now (assignments are numbered by epoch — every re-home bumps
-// it, so a stale watcher or a racing re-homer can detect it lost), the
-// mirrored event log clients stream from, and the terminal outcome.
+// routedJob is the router's view of one submitted spec: the shared
+// Lifecycle (state, the router-side event log clients stream from, the
+// terminal outcome), which replica runs it now (assignments are
+// numbered by epoch — every re-home bumps it, so a stale watcher or a
+// racing re-homer can detect it lost), and the cached results.
 type routedJob struct {
-	ID   string
-	Key  string
+	serve.Lifecycle
 	Spec serve.Spec // normalised; re-homes forward it verbatim so the key cannot drift
 
-	mu              sync.Mutex
-	state           serve.State        //redhip:guardedby mu
-	errMsg          string             //redhip:guardedby mu
-	results         json.RawMessage    //redhip:guardedby mu // replica /results bytes, verbatim
-	member          string             //redhip:guardedby mu // current assignment ("" while placing)
-	replicaJobID    string             //redhip:guardedby mu
-	epoch           int                //redhip:guardedby mu // 0 = never placed; bumps per (re)placement
-	lastMirrored    int                //redhip:guardedby mu // replica event ID last mirrored this epoch
-	streamCancel    context.CancelFunc //redhip:guardedby mu // aborts the current epoch's SSE follow
-	rehomes         int                //redhip:guardedby mu
-	submissions     int                //redhip:guardedby mu
-	cancelRequested bool               //redhip:guardedby mu
-	submitted       time.Time          //redhip:guardedby mu
-	finished        time.Time          //redhip:guardedby mu
-	log             eventLog           //redhip:guardedby mu
+	results      json.RawMessage    //redhip:guardedby Mu // replica /results bytes, verbatim
+	member       string             //redhip:guardedby Mu // current assignment ("" while placing)
+	replicaJobID string             //redhip:guardedby Mu
+	epoch        int                //redhip:guardedby Mu // 0 = never placed; bumps per (re)placement
+	lastMirrored int                //redhip:guardedby Mu // replica event ID last mirrored this epoch
+	streamCancel context.CancelFunc //redhip:guardedby Mu // aborts the current epoch's SSE follow
+	rehomes      int                //redhip:guardedby Mu
+}
+
+func newRoutedJob(id, key string, spec serve.Spec, now time.Time) *routedJob {
+	j := &routedJob{Spec: spec}
+	j.Init(id, key, serve.StateQueued, now)
+	return j
 }
 
 // routedData is the payload of the router-authored "routed" event.
@@ -53,21 +50,15 @@ type rehomedData struct {
 	Reason string `json:"reason"`
 }
 
-// terminalData mirrors serve's terminal event payload.
-type terminalData struct {
-	State serve.State `json:"state"`
-	Error string      `json:"error,omitempty"`
-}
-
 // beginEpoch advances from the given epoch to the next, clearing the
 // previous assignment and aborting its stream. It is the single
 // arbiter between racing re-homers (the dead-member scan, a watcher
 // that saw an unexpected cancel, a placement that raced a death): only
 // the caller whose `from` still matches wins the right to place.
 func (j *routedJob) beginEpoch(from int) (int, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() || j.epoch != from {
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
+	if j.TerminalLocked() || j.epoch != from {
 		return 0, false
 	}
 	j.epoch++
@@ -83,9 +74,9 @@ func (j *routedJob) beginEpoch(from int) (int, bool) {
 
 // assign records the epoch's placement; false if the epoch moved on.
 func (j *routedJob) assign(epoch int, member, rid string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() || j.epoch != epoch {
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
+	if j.TerminalLocked() || j.epoch != epoch {
 		return false
 	}
 	j.member = member
@@ -95,9 +86,9 @@ func (j *routedJob) assign(epoch int, member, rid string) bool {
 
 // assignment returns the epoch's placement, if it is still current.
 func (j *routedJob) assignment(epoch int) (member, rid string, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() || j.epoch != epoch {
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
+	if j.TerminalLocked() || j.epoch != epoch {
 		return "", "", false
 	}
 	return j.member, j.replicaJobID, true
@@ -105,18 +96,18 @@ func (j *routedJob) assignment(epoch int) (member, rid string, ok bool) {
 
 // current snapshots (member, epoch) for the dead-member scan.
 func (j *routedJob) current() (member string, epoch int, terminal bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.member, j.epoch, j.state.Terminal()
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
+	return j.member, j.epoch, j.TerminalLocked()
 }
 
 // setStreamCancel installs the cancel func that aborts this epoch's
 // SSE follow; beginEpoch invokes it, which is what unhooks a watcher
 // blocked reading from a partitioned (hung, not closed) connection.
 func (j *routedJob) setStreamCancel(epoch int, cancel context.CancelFunc) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() || j.epoch != epoch {
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
+	if j.TerminalLocked() || j.epoch != epoch {
 		return false
 	}
 	j.streamCancel = cancel
@@ -131,63 +122,37 @@ func (j *routedJob) setStreamCancel(epoch int, cancel context.CancelFunc) bool {
 // queued/running life on the new replica, prefixed by the "rehomed"
 // marker.
 func (j *routedJob) mirror(epoch int, ev serve.Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() || j.epoch != epoch || ev.ID <= j.lastMirrored {
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
+	if j.TerminalLocked() || j.epoch != epoch || ev.ID <= j.lastMirrored {
 		return
 	}
 	j.lastMirrored = ev.ID
-	j.log.appendRawLocked(ev.Type, ev.Data, false)
-}
-
-// appendEvent publishes a router-authored non-terminal event.
-func (j *routedJob) appendEvent(typ string, payload any) {
-	j.mu.Lock()
-	j.log.appendLocked(typ, payload, false)
-	j.mu.Unlock()
+	j.PublishRawLocked(ev.Type, ev.Data)
 }
 
 // noteRehome counts a hand-off and publishes its marker event.
 func (j *routedJob) noteRehome(from, reason string) {
-	j.mu.Lock()
+	j.Mu.Lock()
 	j.rehomes++
-	j.log.appendLocked("rehomed", rehomedData{From: from, Reason: reason}, false)
-	j.mu.Unlock()
+	j.PublishLocked("rehomed", rehomedData{From: from, Reason: reason})
+	j.Mu.Unlock()
 }
 
 // requestCancel flags the job so terminal "cancelled" events are
 // honoured (not treated as a fence to re-home from) and re-homers
 // stand down. It returns the current placement for forwarding.
 func (j *routedJob) requestCancel() (member, rid string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.cancelRequested = true
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
+	j.RequestCancelLocked()
 	return j.member, j.replicaJobID
 }
 
 func (j *routedJob) isCancelRequested() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cancelRequested
-}
-
-// attach records one more deduplicated submission.
-func (j *routedJob) attach() {
-	j.mu.Lock()
-	j.submissions++
-	j.mu.Unlock()
-}
-
-// subscribe returns the replayed router log and a live channel.
-func (j *routedJob) subscribe() (replay []serve.Event, live <-chan serve.Event, unsub func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	replay, ch := j.log.subscribeLocked(j.state.Terminal())
-	return replay, ch, func() {
-		j.mu.Lock()
-		j.log.unsubscribeLocked(ch)
-		j.mu.Unlock()
-	}
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
+	return j.CancelRequestedLocked()
 }
 
 // RoutedStatus is the JSON shape of the router's GET /v1/jobs/{id}.
@@ -207,154 +172,54 @@ type RoutedStatus struct {
 }
 
 func (j *routedJob) status(withResults bool) RoutedStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
+	ph := j.PhaseLocked()
 	st := RoutedStatus{
 		ID:           j.ID,
 		Key:          j.Key,
-		State:        j.state,
-		Error:        j.errMsg,
+		State:        ph.State,
+		Error:        ph.Error,
 		Spec:         j.Spec,
 		Replica:      j.member,
 		ReplicaJobID: j.replicaJobID,
 		Rehomes:      j.rehomes,
-		Submissions:  j.submissions,
-		SubmittedAt:  j.submitted,
+		Submissions:  ph.Submissions,
+		SubmittedAt:  ph.SubmittedAt,
+		FinishedAt:   ph.FinishedAt,
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.FinishedAt = &t
-	}
-	if withResults && j.state == serve.StateDone {
+	if withResults && ph.State == serve.StateDone {
 		st.Results = j.results
 	}
 	return st
 }
 
-// finalizeRouted applies a routed job's terminal transition exactly
-// once: state, terminal event, key release for non-reusable outcomes
-// (done results stay cached under their key, the router-side dedup
-// cache), and the terminal counter.
-func (rt *Router) finalizeRouted(j *routedJob, state serve.State, errMsg string, results json.RawMessage) bool {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
+// finish applies the terminal transition — state, terminal event,
+// results, and the abort of any live stream follow — in one hold.
+func (j *routedJob) finish(state serve.State, errMsg string, results json.RawMessage) bool {
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
+	if !j.FinishLocked(state, errMsg, time.Now()) {
 		return false
 	}
-	j.state = state
-	j.errMsg = errMsg
 	j.results = results
-	j.finished = time.Now()
 	if j.streamCancel != nil {
 		j.streamCancel()
 		j.streamCancel = nil
 	}
-	j.log.appendLocked(string(state), terminalData{State: state, Error: errMsg}, true)
-	j.mu.Unlock()
-	if state != serve.StateDone {
-		rt.jobs.releaseKey(j)
-	}
-	rt.metrics.jobFinished(state)
 	return true
 }
 
-// --- job table -----------------------------------------------------------------
-
-// jobTable is the router's routed-job registry: ID lookup, key-level
-// single-flight dedup, insertion-ordered eviction of terminal jobs.
-type jobTable struct {
-	mu     sync.Mutex
-	byID   map[string]*routedJob //redhip:guardedby mu
-	byKey  map[string]*routedJob //redhip:guardedby mu // non-terminal or done (result cache)
-	order  []*routedJob          //redhip:guardedby mu // insertion order, eviction scan
-	nextID int                   //redhip:guardedby mu
-	max    int
-}
-
-func newJobTable(max int) *jobTable {
-	return &jobTable{
-		byID:  make(map[string]*routedJob),
-		byKey: make(map[string]*routedJob),
-		max:   max,
+// finalizeRouted applies a routed job's terminal transition exactly
+// once, through the table so non-reusable outcomes release the key in
+// the same hold (done results stay cached under their key, the
+// router-side dedup cache), and counts the terminal state.
+func (rt *Router) finalizeRouted(j *routedJob, state serve.State, errMsg string, results json.RawMessage) bool {
+	if !rt.jobs.Finish(j, func() bool { return j.finish(state, errMsg, results) }) {
+		return false
 	}
-}
-
-// resolve returns the job owning key, creating it if absent —
-// single-flight: two concurrent submissions of one spec meet here and
-// share a job, exactly like serve's store. A full table evicts its
-// oldest terminal job; all-live tables reject.
-func (t *jobTable) resolve(key string, spec serve.Spec, now time.Time) (*routedJob, bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if j := t.byKey[key]; j != nil {
-		j.attach()
-		return j, false, nil
-	}
-	if len(t.byID) >= t.max && !t.evictLocked() {
-		return nil, false, fmt.Errorf("cluster: job table full (%d live jobs)", len(t.byID))
-	}
-	t.nextID++
-	j := &routedJob{
-		ID:          fmt.Sprintf("r-%08d", t.nextID),
-		Key:         key,
-		Spec:        spec,
-		state:       serve.StateQueued,
-		submissions: 1,
-		submitted:   now,
-	}
-	j.log.appendLocked("queued", terminalData{State: serve.StateQueued}, false)
-	t.byID[j.ID] = j
-	t.byKey[key] = j
-	t.order = append(t.order, j)
-	return j, true, nil
-}
-
-// evictLocked drops the oldest terminal job; false when every resident
-// job is live.
-func (t *jobTable) evictLocked() bool {
-	for i, j := range t.order {
-		j.mu.Lock()
-		terminal := j.state.Terminal()
-		j.mu.Unlock()
-		if !terminal {
-			continue
-		}
-		t.order = append(t.order[:i:i], t.order[i+1:]...)
-		delete(t.byID, j.ID)
-		if t.byKey[j.Key] == j {
-			delete(t.byKey, j.Key)
-		}
-		return true
-	}
-	return false
-}
-
-// releaseKey unmaps a failed/cancelled job's key so the spec can be
-// resubmitted fresh (mirrors serve's finishRelease semantics).
-func (t *jobTable) releaseKey(j *routedJob) {
-	t.mu.Lock()
-	if t.byKey[j.Key] == j {
-		delete(t.byKey, j.Key)
-	}
-	t.mu.Unlock()
-}
-
-func (t *jobTable) get(id string) *routedJob {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byID[id]
-}
-
-func (t *jobTable) list() []*routedJob {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*routedJob(nil), t.order...)
-}
-
-func (t *jobTable) size() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.byID)
+	rt.metrics.jobFinished(state)
+	return true
 }
 
 // --- watching ------------------------------------------------------------------
@@ -451,13 +316,13 @@ func (rt *Router) followStream(j *routedJob, epoch int, m *Member, rid string) (
 		case string(serve.StateDone):
 			return true, rt.completeDone(j, epoch, m, rid)
 		case string(serve.StateFailed):
-			var td terminalData
+			var td serve.StateData
 			_ = json.Unmarshal(ev.Data, &td)
 			rt.finalizeRouted(j, serve.StateFailed, td.Error, nil)
 			return true, nil
 		case string(serve.StateCancelled):
 			if j.isCancelRequested() {
-				var td terminalData
+				var td serve.StateData
 				_ = json.Unmarshal(ev.Data, &td)
 				rt.finalizeRouted(j, serve.StateCancelled, td.Error, nil)
 				return true, nil
@@ -534,7 +399,7 @@ func (rt *Router) fetchResults(m *Member, rid string) ([]byte, int, error) {
 // its epoch first, so a watcher acting on the same death (or a client
 // cancel) cannot double-place.
 func (rt *Router) onMemberDead(name string) {
-	for _, j := range rt.jobs.list() {
+	for _, j := range rt.jobs.List() {
 		member, epoch, terminal := j.current()
 		if terminal || member != name {
 			continue
@@ -570,10 +435,10 @@ func (rt *Router) place(j *routedJob, epoch int) {
 		if rt.baseCtx.Err() != nil {
 			return
 		}
-		j.mu.Lock()
-		lost := j.state.Terminal() || j.epoch != epoch
-		cancelled := j.cancelRequested
-		j.mu.Unlock()
+		j.Mu.Lock()
+		lost := j.TerminalLocked() || j.epoch != epoch
+		cancelled := j.CancelRequestedLocked()
+		j.Mu.Unlock()
 		if lost {
 			return
 		}
@@ -626,7 +491,7 @@ func (rt *Router) place(j *routedJob, epoch int) {
 		if !j.assign(epoch, m.Name, rid) {
 			return
 		}
-		j.appendEvent("routed", routedData{Replica: m.Name, ReplicaJobID: rid})
+		j.Publish("routed", routedData{Replica: m.Name, ReplicaJobID: rid})
 		if m.stateNow() == MemberDead {
 			// The owner died between the dead scan and our assign: that
 			// scan may have missed this job, so claim the next epoch now.

@@ -106,7 +106,7 @@ func TestChaosSweep(t *testing.T) {
 	// terminal event, and it must be last: a truncated or double-closed
 	// SSE replay is how a client sees a corrupted job.
 	for i, id := range ids {
-		replay, live, unsub := ts.s.store.get(id).subscribe()
+		replay, live, unsub := ts.s.store.Get(id).subscribe()
 		unsub()
 		if _, ok := <-live; ok {
 			t.Fatalf("job %s: live channel open after terminal state", id)

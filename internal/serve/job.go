@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"redhip/internal/sim"
@@ -57,12 +56,6 @@ type progressData struct {
 	WallMS    float64 `json:"wall_ms,omitempty"`
 }
 
-// terminalData is the payload of a terminal event.
-type terminalData struct {
-	State State  `json:"state"`
-	Error string `json:"error,omitempty"`
-}
-
 // retryData is the payload of a "retry" event: attempt N failed and
 // the job will re-execute after the stated backoff.
 type retryData struct {
@@ -79,107 +72,57 @@ type panicData struct {
 	Stack string `json:"stack"`
 }
 
-// Job is one admitted submission and everything it accretes: state,
-// progress counters, the event log, subscribers, and (terminally)
-// results or an error.
+// Job is one admitted submission and everything it accretes: the
+// shared Lifecycle (state, event log, subscribers), progress counters,
+// and (terminally) results or an error.
 type Job struct {
-	// Immutable after creation.
-	ID   string
-	Key  string
-	Spec Spec
+	Lifecycle
+	Spec Spec // immutable
 	// estBytes is the trace-footprint reservation made at admission;
 	// finalize releases it exactly once on the terminal transition.
 	estBytes uint64
 
-	mu          sync.Mutex
-	state       State              //redhip:guardedby mu
-	attempts    int                //redhip:guardedby mu // execution attempts started (retries included)
-	err         string             //redhip:guardedby mu
-	results     []*sim.Result      //redhip:guardedby mu
-	completed   int                //redhip:guardedby mu // runs finished
-	total       int                //redhip:guardedby mu // runs planned
-	submissions int                //redhip:guardedby mu // POSTs that resolved to this job (1 = no dedup)
-	submitted   time.Time          //redhip:guardedby mu
-	started     time.Time          //redhip:guardedby mu
-	finished    time.Time          //redhip:guardedby mu
-	cancel      context.CancelFunc //redhip:guardedby mu // non-nil while running
-	// cancelRequested is set when DELETE races the queued->running
-	// hand-off: the worker that pops the job consults it in start and
-	// abandons the run instead of executing a cancelled job.
-	cancelRequested bool     //redhip:guardedby mu
-	log             eventLog //redhip:guardedby mu
+	attempts  int                //redhip:guardedby Mu // execution attempts started (retries included)
+	results   []*sim.Result      //redhip:guardedby Mu
+	completed int                //redhip:guardedby Mu // runs finished
+	total     int                //redhip:guardedby Mu // runs planned
+	started   time.Time          //redhip:guardedby Mu
+	cancel    context.CancelFunc //redhip:guardedby Mu // non-nil while running
 }
 
 func newJob(id string, spec Spec, now time.Time) *Job {
-	j := &Job{
-		ID:          id,
-		Key:         spec.key(),
-		Spec:        spec,
-		state:       StateQueued,
-		total:       spec.runs(),
-		submissions: 1,
-		submitted:   now,
-	}
-	j.publish("queued", terminalData{State: StateQueued})
+	j := &Job{Spec: spec, total: spec.runs()}
+	j.Init(id, spec.key(), StateQueued, now)
 	return j
 }
 
-// publish appends an event and fans it out; callers must NOT hold j.mu.
-func (j *Job) publish(typ string, payload any) {
-	j.mu.Lock()
-	j.publishLocked(typ, payload)
-	j.mu.Unlock()
-}
-
-// publishLocked is publish with j.mu already held — terminal
-// transitions use it so the state change and its event land atomically
-// (a subscriber can never observe a terminal state whose event is
-// missing from the log). The mechanics live in eventLog, shared with
-// the sweep orchestrator.
-func (j *Job) publishLocked(typ string, payload any) {
-	j.log.appendLocked(typ, payload, j.state.terminal())
-}
-
-// subscribe returns the replayed event log and a live channel. The
-// channel is closed after the terminal event; unsub must be called when
-// the consumer stops reading early.
-func (j *Job) subscribe() (replay []Event, live <-chan Event, unsub func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	replay, ch := j.log.subscribeLocked(j.state.terminal())
-	return replay, ch, func() {
-		j.mu.Lock()
-		j.log.unsubscribeLocked(ch)
-		j.mu.Unlock()
-	}
-}
-
 // start transitions queued -> running, installing the cancel func.
-// It returns false when the job was cancelled while queued.
+// It returns false when the job was cancelled while queued: a DELETE
+// that raced the queued->running hand-off sets cancelRequested, and the
+// worker that popped the job abandons the run here.
 func (j *Job) start(cancel context.CancelFunc, now time.Time) bool {
-	j.mu.Lock()
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
 	if j.state != StateQueued || j.cancelRequested {
-		j.mu.Unlock()
 		return false
 	}
 	j.state = StateRunning
 	j.started = now
 	j.cancel = cancel
-	j.mu.Unlock()
-	j.publish("running", terminalData{State: StateRunning})
+	j.PublishLocked("running", StateData{State: StateRunning})
 	return true
 }
 
 // noteAttempt records the start of one execution attempt.
 func (j *Job) noteAttempt() {
-	j.mu.Lock()
+	j.Mu.Lock()
 	j.attempts++
-	j.mu.Unlock()
+	j.Mu.Unlock()
 }
 
 // publishRetry emits a "retry" event after a failed attempt.
 func (j *Job) publishRetry(attempt, max int, delay time.Duration, err error) {
-	j.publish("retry", retryData{
+	j.Publish("retry", retryData{
 		Attempt: attempt,
 		Max:     max,
 		DelayMS: float64(delay) / float64(time.Millisecond),
@@ -190,48 +133,42 @@ func (j *Job) publishRetry(attempt, max int, delay time.Duration, err error) {
 // publishPanic emits a "panic" event carrying the recovered value and
 // its stack.
 func (j *Job) publishPanic(v any, stack []byte) {
-	j.publish("panic", panicData{Value: fmt.Sprint(v), Stack: string(stack)})
+	j.Publish("panic", panicData{Value: fmt.Sprint(v), Stack: string(stack)})
 }
 
 // progress records one finished run and emits a progress event.
 func (j *Job) progress(p progressData) {
-	j.mu.Lock()
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
 	j.completed++
 	p.Completed = j.completed
 	p.Total = j.total
-	j.mu.Unlock()
-	j.publish("progress", p)
+	j.PublishLocked("progress", p)
 }
 
-// finish transitions to a terminal state and emits the terminal event.
-// Later finish calls (a cancel racing completion, say) are no-ops; the
-// first terminal state wins. It reports whether this call won.
+// finish transitions to a terminal state and emits the terminal event,
+// results included in the same hold; it reports whether this call won.
 func (j *Job) finish(state State, errMsg string, results []*sim.Result, now time.Time) bool {
-	j.mu.Lock()
-	if j.state.terminal() {
-		j.mu.Unlock()
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
+	if !j.FinishLocked(state, errMsg, now) {
 		return false
 	}
-	j.state = state
-	j.err = errMsg
 	j.results = results
-	j.finished = now
 	j.cancel = nil
-	j.publishLocked(string(state), terminalData{State: state, Error: errMsg})
-	j.mu.Unlock()
 	return true
 }
 
 // requestCancel asks the job to stop. A queued job reports
-// wasQueued=true and the caller (the store) removes it from the queue
-// and finishes it; a running job has its context cancelled and reaches
-// "cancelled" through the worker. Terminal jobs are untouched.
+// wasQueued=true and the caller removes it from the queue and finishes
+// it; a running job has its context cancelled and reaches "cancelled"
+// through the worker. Terminal jobs are untouched.
 func (j *Job) requestCancel() (wasQueued, wasRunning bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
 	switch j.state {
 	case StateQueued:
-		j.cancelRequested = true
+		j.RequestCancelLocked()
 		return true, false
 	case StateRunning:
 		if j.cancel != nil {
@@ -240,13 +177,6 @@ func (j *Job) requestCancel() (wasQueued, wasRunning bool) {
 		return false, true
 	}
 	return false, false
-}
-
-// attach records one more deduplicated submission.
-func (j *Job) attach() {
-	j.mu.Lock()
-	j.submissions++
-	j.mu.Unlock()
 }
 
 // Status is the JSON shape of GET /v1/jobs/{id}.
@@ -269,46 +199,37 @@ type Status struct {
 // snapshot renders the job's current status. withResults controls
 // whether the (potentially large) result array is included.
 func (j *Job) snapshot(withResults bool) Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
+	ph := j.PhaseLocked()
 	st := Status{
 		ID:          j.ID,
 		Key:         j.Key,
-		State:       j.state,
-		Error:       j.err,
+		State:       ph.State,
+		Error:       ph.Error,
 		Spec:        j.Spec,
 		Completed:   j.completed,
 		Total:       j.total,
 		Attempts:    j.attempts,
-		Submissions: j.submissions,
-		SubmittedAt: j.submitted,
+		Submissions: ph.Submissions,
+		SubmittedAt: ph.SubmittedAt,
+		FinishedAt:  ph.FinishedAt,
 	}
 	if !j.started.IsZero() {
 		t := j.started
 		st.StartedAt = &t
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.FinishedAt = &t
-	}
-	if withResults && j.state == StateDone {
+	if withResults && ph.State == StateDone {
 		st.Results = j.results
 	}
 	return st
 }
 
-// stateNow returns the job's current state.
-func (j *Job) stateNow() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
 // runningSince reports when the job started executing, if it is
 // currently running.
 func (j *Job) runningSince() (time.Time, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.Mu.Lock()
+	defer j.Mu.Unlock()
 	if j.state != StateRunning {
 		return time.Time{}, false
 	}

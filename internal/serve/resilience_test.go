@@ -38,7 +38,7 @@ func TestWorkerPanicSlotAndKeyRecovery(t *testing.T) {
 	}
 
 	// The stack is in the event log, not just server stderr.
-	replay, _, unsub := ts.s.store.get(sub.ID).subscribe()
+	replay, _, unsub := ts.s.store.Get(sub.ID).subscribe()
 	unsub()
 	var sawPanic bool
 	for _, ev := range replay {
@@ -68,24 +68,25 @@ func TestWorkerPanicSlotAndKeyRecovery(t *testing.T) {
 
 // --- dedup-key wedge (regression: failed job stayed key-resolvable) ------------
 
-// TestFinishReleaseAtomicity: finishRelease must deliver the terminal
-// event, close subscribers, and drop the key binding in one store-lock
-// hold, so no resolve can attach to a terminally failed job.
+// TestFinishReleaseAtomicity: Registry.Finish must deliver the
+// terminal event, close subscribers, and drop the key binding in one
+// registry-lock hold, so no resolve can attach to a terminally failed
+// job.
 func TestFinishReleaseAtomicity(t *testing.T) {
-	st := newJobStore(8)
+	st := NewRegistry[*Job]("job-%06d", 8, false)
 	spec, err := smokeSpec().normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, created, err := st.resolve(spec, 0, time.Now(), nil)
+	j, created, err := resolveJob(st, spec, time.Now())
 	if err != nil || !created {
 		t.Fatalf("resolve: created=%v err=%v", created, err)
 	}
 	_, live, unsub := j.subscribe()
 	defer unsub()
 
-	if !st.finishRelease(j, StateFailed, "transient blowup", time.Now()) {
-		t.Fatalf("finishRelease lost a transition race on a fresh job")
+	if !finishJob(st, j, StateFailed, "transient blowup") {
+		t.Fatalf("Finish lost a transition race on a fresh job")
 	}
 	// The subscriber sees the terminal event, then the closed channel.
 	var last Event
@@ -96,10 +97,10 @@ func TestFinishReleaseAtomicity(t *testing.T) {
 		t.Fatalf("last streamed event = %q, want failed", last.Type)
 	}
 	// A second finisher loses; the key is free for a fresh execution.
-	if st.finishRelease(j, StateCancelled, "late", time.Now()) {
-		t.Fatalf("second finishRelease won")
+	if finishJob(st, j, StateCancelled, "late") {
+		t.Fatalf("second Finish won")
 	}
-	j2, created, err := st.resolve(spec, 0, time.Now(), nil)
+	j2, created, err := resolveJob(st, spec, time.Now())
 	if err != nil || !created || j2 == j {
 		t.Fatalf("resolve after failure: created=%v err=%v same=%v", created, err, j2 == j)
 	}

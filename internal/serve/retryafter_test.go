@@ -14,7 +14,7 @@ func retryAfterServer(t *testing.T, workers int, at time.Time) *Server {
 	return &Server{
 		opts:    Options{Workers: workers},
 		queue:   newJobQueue(64),
-		store:   newJobStore(64),
+		store:   NewRegistry[*Job]("job-%06d", 64, false),
 		metrics: newMetrics(),
 		now:     func() time.Time { return at },
 	}
@@ -29,7 +29,7 @@ func startRunningJob(t *testing.T, s *Server, seed uint64, started time.Time) {
 	if err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
-	j, created, err := s.store.resolve(norm, 0, started, nil)
+	j, created, err := resolveJob(s.store, norm, started)
 	if err != nil || !created {
 		t.Fatalf("resolve: created=%v err=%v", created, err)
 	}

@@ -257,7 +257,7 @@ func TestStoreEviction(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("evicted job still resolvable: %d", resp.StatusCode)
 	}
-	if n := ts.s.store.size(); n != 2 {
+	if n := ts.s.store.Len(); n != 2 {
 		t.Fatalf("store size = %d, want 2", n)
 	}
 }

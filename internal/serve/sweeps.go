@@ -17,7 +17,7 @@ import (
 // a parameter grid (internal/sweep) into child jobs and feeds them
 // through the exact admission door direct submissions use — dedup,
 // circuit breakers, memory shedding and the bounded queue all apply to
-// sweep fan-out. Per-sweep state, SSE progress (reusing eventLog) and
+// sweep fan-out. Per-sweep state, SSE progress (the shared Lifecycle) and
 // the aggregated paper-figure artifacts live here; the grid math and
 // the artifact tables stay in the pure internal/sweep package.
 
@@ -58,49 +58,36 @@ type sweepChildEvent struct {
 
 // sweepRun is one accepted sweep: the immutable expanded grid plus the
 // orchestrator's mutable progress — child states, per-child results in
-// grid order, the event log, and (terminally) the aggregated
-// artifacts.
+// grid order, and (terminally) the aggregated artifacts — on the shared
+// Lifecycle, whose cancel request bridges the DELETE-races-startup
+// window: the orchestrator installs its cancel func after launch and
+// honours a request that arrived first.
 type sweepRun struct {
+	Lifecycle
 	// Immutable after creation.
-	ID       string
 	Grid     sweep.Grid
 	Children []sweep.Child
 
-	mu         sync.Mutex
-	state      State              //redhip:guardedby mu
-	errMsg     string             //redhip:guardedby mu
-	childState []State            //redhip:guardedby mu // "" = pending
-	childJob   []string           //redhip:guardedby mu // job ID once submitted
-	childOwned []bool             //redhip:guardedby mu // true when this sweep created the job
-	counts     sweepCounts        //redhip:guardedby mu
-	results    [][]*sim.Result    //redhip:guardedby mu // by child index, set on child done
-	artifacts  *sweep.Artifacts   //redhip:guardedby mu // non-nil only when state == done
-	submitted  time.Time          //redhip:guardedby mu
-	finished   time.Time          //redhip:guardedby mu
-	cancel     context.CancelFunc //redhip:guardedby mu // orchestrator ctx, non-nil while running
-	// cancelRequested bridges the DELETE-races-startup window: the
-	// orchestrator installs its cancel func after launch and honours a
-	// request that arrived first.
-	cancelRequested bool     //redhip:guardedby mu
-	log             eventLog //redhip:guardedby mu
+	childState []State            //redhip:guardedby Mu // "" = pending
+	childJob   []string           //redhip:guardedby Mu // job ID once submitted
+	childOwned []bool             //redhip:guardedby Mu // true when this sweep created the job
+	counts     sweepCounts        //redhip:guardedby Mu
+	results    [][]*sim.Result    //redhip:guardedby Mu // by child index, set on child done
+	artifacts  *sweep.Artifacts   //redhip:guardedby Mu // non-nil only when state == done
+	cancel     context.CancelFunc //redhip:guardedby Mu // orchestrator ctx, non-nil while running
 }
 
 func newSweepRun(id string, g sweep.Grid, children []sweep.Child, now time.Time) *sweepRun {
 	sw := &sweepRun{
-		ID:         id,
 		Grid:       g,
 		Children:   children,
-		state:      StateRunning,
 		childState: make([]State, len(children)),
 		childJob:   make([]string, len(children)),
 		childOwned: make([]bool, len(children)),
 		counts:     sweepCounts{Pending: len(children)},
 		results:    make([][]*sim.Result, len(children)),
-		submitted:  now,
 	}
-	sw.mu.Lock()
-	sw.log.appendLocked("running", terminalData{State: StateRunning}, false)
-	sw.mu.Unlock()
+	sw.Init(id, "", StateRunning, now)
 	return sw
 }
 
@@ -135,14 +122,14 @@ func (sw *sweepRun) transitionLocked(idx int, st State, errMsg string, results [
 	if st == StateDone {
 		sw.results[idx] = results
 	}
-	sw.log.appendLocked("child", sweepChildEvent{
+	sw.PublishLocked("child", sweepChildEvent{
 		Index:   idx,
 		Job:     sw.childJob[idx],
 		State:   string(st),
 		Error:   errMsg,
 		Deduped: deduped,
 		Counts:  sw.counts,
-	}, false)
+	})
 	return true
 }
 
@@ -150,20 +137,20 @@ func (sw *sweepRun) transitionLocked(idx int, st State, errMsg string, results [
 // this sweep created the job (owned) or attached to existing work, and
 // the advance to queued.
 func (sw *sweepRun) childSubmitted(idx int, jobID string, owned bool) {
-	sw.mu.Lock()
+	sw.Mu.Lock()
 	sw.childJob[idx] = jobID
 	sw.childOwned[idx] = owned
 	sw.transitionLocked(idx, StateQueued, "", nil, !owned)
-	sw.mu.Unlock()
+	sw.Mu.Unlock()
 }
 
 // childTransition advances one child from its watcher. It reports
 // whether the child just reached "failed" — the orchestrator's
 // fail-fast trigger.
 func (sw *sweepRun) childTransition(idx int, st State, errMsg string, results []*sim.Result) bool {
-	sw.mu.Lock()
+	sw.Mu.Lock()
 	advanced := sw.transitionLocked(idx, st, errMsg, results, false)
-	sw.mu.Unlock()
+	sw.Mu.Unlock()
 	return advanced && st == StateFailed
 }
 
@@ -172,8 +159,8 @@ func (sw *sweepRun) childTransition(idx int, st State, errMsg string, results []
 // result set come back for the terminal verdict. The results slice is
 // safe to read without the lock from here on — all writers are done.
 func (sw *sweepRun) settle() (counts sweepCounts, cancelRequested bool, results [][]*sim.Result) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
+	sw.Mu.Lock()
+	defer sw.Mu.Unlock()
 	for i, st := range sw.childState {
 		if st == "" {
 			sw.transitionLocked(i, StateCancelled, "", nil, false)
@@ -186,29 +173,25 @@ func (sw *sweepRun) settle() (counts sweepCounts, cancelRequested bool, results 
 // state change, artifacts and terminal event land atomically so an SSE
 // subscriber can never observe a terminal sweep without its event.
 func (sw *sweepRun) finish(state State, errMsg string, arts *sweep.Artifacts, now time.Time) bool {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	if sw.state.terminal() {
+	sw.Mu.Lock()
+	defer sw.Mu.Unlock()
+	if !sw.FinishLocked(state, errMsg, now) {
 		return false
 	}
-	sw.state = state
-	sw.errMsg = errMsg
 	sw.artifacts = arts
-	sw.finished = now
 	sw.cancel = nil
-	sw.log.appendLocked(string(state), terminalData{State: state, Error: errMsg}, true)
 	return true
 }
 
 // setCancel installs the orchestrator's cancel func, honouring a
 // cancellation that raced sweep startup.
 func (sw *sweepRun) setCancel(cancel context.CancelFunc) {
-	sw.mu.Lock()
+	sw.Mu.Lock()
 	requested := sw.cancelRequested
 	if !sw.state.terminal() {
 		sw.cancel = cancel
 	}
-	sw.mu.Unlock()
+	sw.Mu.Unlock()
 	if requested {
 		cancel()
 	}
@@ -219,12 +202,12 @@ func (sw *sweepRun) setCancel(cancel context.CancelFunc) {
 // the handler cancels. Jobs the sweep merely attached to by dedup are
 // excluded here; shared jobs are additionally skipped by the handler.
 func (sw *sweepRun) requestCancel() []string {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
+	sw.Mu.Lock()
+	defer sw.Mu.Unlock()
 	if sw.state.terminal() {
 		return nil
 	}
-	sw.cancelRequested = true
+	sw.RequestCancelLocked()
 	if sw.cancel != nil {
 		sw.cancel()
 	}
@@ -237,31 +220,11 @@ func (sw *sweepRun) requestCancel() []string {
 	return ids
 }
 
-// subscribe returns the replayed event log and a live channel, exactly
-// like Job.subscribe.
-func (sw *sweepRun) subscribe() (replay []Event, live <-chan Event, unsub func()) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	replay, ch := sw.log.subscribeLocked(sw.state.terminal())
-	return replay, ch, func() {
-		sw.mu.Lock()
-		sw.log.unsubscribeLocked(ch)
-		sw.mu.Unlock()
-	}
-}
-
-// stateNow returns the sweep's current state.
-func (sw *sweepRun) stateNow() State {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.state
-}
-
 // artifactsSnapshot returns the aggregated artifacts, nil until the
 // sweep finishes done.
 func (sw *sweepRun) artifactsSnapshot() *sweep.Artifacts {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
+	sw.Mu.Lock()
+	defer sw.Mu.Unlock()
 	return sw.artifacts
 }
 
@@ -295,22 +258,20 @@ type SweepStatus struct {
 // snapshot renders the sweep's current status; withChildren controls
 // the (large, for big grids) per-child table.
 func (sw *sweepRun) snapshot(withChildren bool) SweepStatus {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
+	sw.Mu.Lock()
+	defer sw.Mu.Unlock()
+	ph := sw.PhaseLocked()
 	st := SweepStatus{
 		ID:             sw.ID,
-		State:          sw.state,
-		Error:          sw.errMsg,
+		State:          ph.State,
+		Error:          ph.Error,
 		Grid:           sw.Grid,
 		Children:       len(sw.Children),
 		Runs:           len(sw.Children) * len(sw.Grid.Schemes),
 		Counts:         sw.counts,
-		SubmittedAt:    sw.submitted,
+		SubmittedAt:    ph.SubmittedAt,
+		FinishedAt:     ph.FinishedAt,
 		ArtifactsReady: sw.artifacts != nil,
-	}
-	if !sw.finished.IsZero() {
-		t := sw.finished
-		st.FinishedAt = &t
 	}
 	if withChildren {
 		st.ChildJobs = make([]SweepChildStatus, len(sw.Children))
@@ -332,86 +293,6 @@ func (sw *sweepRun) snapshot(withChildren bool) SweepStatus {
 		}
 	}
 	return st
-}
-
-// --- sweep store ---------------------------------------------------------------
-
-// sweepStore indexes sweeps by ID and bounds residency like jobStore:
-// terminal sweeps beyond maxSweeps are evicted oldest-first; active
-// sweeps are never evicted.
-type sweepStore struct {
-	mu        sync.Mutex
-	nextID    uint64      //redhip:guardedby mu
-	byID      map[string]*sweepRun //redhip:guardedby mu
-	order     []*sweepRun //redhip:guardedby mu // insertion order, the eviction scan order
-	maxSweeps int
-}
-
-func newSweepStore(maxSweeps int) *sweepStore {
-	return &sweepStore{
-		byID:      make(map[string]*sweepRun),
-		maxSweeps: maxSweeps,
-	}
-}
-
-// add registers a new sweep and evicts aged-out terminal ones.
-func (st *sweepStore) add(g sweep.Grid, children []sweep.Child, now time.Time) *sweepRun {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.nextID++
-	sw := newSweepRun(fmt.Sprintf("sweep-%06d", st.nextID), g, children, now)
-	st.byID[sw.ID] = sw
-	st.order = append(st.order, sw)
-	st.evictLocked()
-	return sw
-}
-
-// get looks a sweep up by ID.
-func (st *sweepStore) get(id string) *sweepRun {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.byID[id]
-}
-
-// list snapshots all resident sweeps in insertion order.
-func (st *sweepStore) list() []*sweepRun {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]*sweepRun, len(st.order))
-	copy(out, st.order)
-	return out
-}
-
-// evictLocked trims terminal sweeps, oldest first, down to maxSweeps.
-// Lock order st.mu -> sw.mu (via stateNow) has no inverse anywhere.
-func (st *sweepStore) evictLocked() {
-	if len(st.order) <= st.maxSweeps {
-		return
-	}
-	kept := st.order[:0]
-	excess := len(st.order) - st.maxSweeps
-	for _, sw := range st.order {
-		if excess > 0 && sw.stateNow().terminal() {
-			delete(st.byID, sw.ID)
-			excess--
-			continue
-		}
-		kept = append(kept, sw)
-	}
-	st.order = kept
-}
-
-// sizes returns (resident sweeps, sweeps still orchestrating) for the
-// /metrics gauges.
-func (st *sweepStore) sizes() (stored, active int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, sw := range st.order {
-		if !sw.stateNow().terminal() {
-			active++
-		}
-	}
-	return len(st.order), active
 }
 
 // --- orchestrator --------------------------------------------------------------
@@ -652,25 +533,29 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&g); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid sweep grid: %v", err))
+		HTTPError(w, http.StatusBadRequest, fmt.Sprintf("invalid sweep grid: %v", err))
 		return
 	}
 	norm, err := g.Normalize()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if n := norm.Count(); n > s.opts.MaxSweepChildren {
-		httpError(w, http.StatusBadRequest,
+		HTTPError(w, http.StatusBadRequest,
 			fmt.Sprintf("sweep expands to %d children, cap is %d", n, s.opts.MaxSweepChildren))
 		return
 	}
 	if s.stopping.Load() {
 		s.metrics.inc(&s.metrics.rejectedShutdown)
-		httpError(w, http.StatusServiceUnavailable, "server is shutting down")
+		HTTPError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	sw := s.sweeps.add(norm, norm.Expand(), s.now())
+	// Sweeps carry no dedup key, and their registry never refuses.
+	now := s.now()
+	sw, _, _ := s.sweeps.Resolve("", nil, func(id string) *sweepRun {
+		return newSweepRun(id, norm, norm.Expand(), now)
+	})
 	s.metrics.inc(&s.metrics.sweepsSubmitted)
 	s.sweepWG.Add(1)
 	go s.runSweep(sw)
@@ -678,7 +563,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/v1/sweeps/"+sw.ID)
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, sweepSubmitResponse{
+	WriteJSON(w, sweepSubmitResponse{
 		ID:        sw.ID,
 		State:     sw.stateNow(),
 		Children:  len(sw.Children),
@@ -690,24 +575,24 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	sweeps := s.sweeps.list()
+	sweeps := s.sweeps.List()
 	out := make([]SweepStatus, len(sweeps))
 	for i, sw := range sweeps {
 		out[i] = sw.snapshot(false)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	sw := s.sweeps.get(r.PathValue("id"))
+	sw := s.sweeps.Get(r.PathValue("id"))
 	if sw == nil {
-		httpError(w, http.StatusNotFound, "no such sweep")
+		HTTPError(w, http.StatusNotFound, "no such sweep")
 		return
 	}
 	withChildren := r.URL.Query().Get("children") != "false"
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, sw.snapshot(withChildren))
+	WriteJSON(w, sw.snapshot(withChildren))
 }
 
 // handleSweepCancel cancels the sweep and fans the cancellation out to
@@ -715,13 +600,13 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 // share (dedup attached them): cancelling those would yank results out
 // from under an unrelated client.
 func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	sw := s.sweeps.get(r.PathValue("id"))
+	sw := s.sweeps.Get(r.PathValue("id"))
 	if sw == nil {
-		httpError(w, http.StatusNotFound, "no such sweep")
+		HTTPError(w, http.StatusNotFound, "no such sweep")
 		return
 	}
 	for _, id := range sw.requestCancel() {
-		j := s.store.get(id)
+		j := s.store.Get(id)
 		if j == nil || j.snapshot(false).Submissions > 1 {
 			continue
 		}
@@ -731,57 +616,30 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, sw.snapshot(false))
+	WriteJSON(w, sw.snapshot(false))
 }
 
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	sw := s.sweeps.get(r.PathValue("id"))
+	sw := s.sweeps.Get(r.PathValue("id"))
 	if sw == nil {
-		httpError(w, http.StatusNotFound, "no such sweep")
+		HTTPError(w, http.StatusNotFound, "no such sweep")
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-
-	replay, live, unsub := sw.subscribe()
-	defer unsub()
-	for _, ev := range replay {
-		writeSSE(w, ev)
-	}
-	fl.Flush()
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok {
-				return
-			}
-			writeSSE(w, ev)
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	StreamEvents(w, r, &sw.Lifecycle)
 }
 
 // handleSweepArtifacts serves the aggregated paper-figure tables:
 // JSON by default, the rendered text block with ?format=text (the
 // form the smoke script diffs for bit-identity).
 func (s *Server) handleSweepArtifacts(w http.ResponseWriter, r *http.Request) {
-	sw := s.sweeps.get(r.PathValue("id"))
+	sw := s.sweeps.Get(r.PathValue("id"))
 	if sw == nil {
-		httpError(w, http.StatusNotFound, "no such sweep")
+		HTTPError(w, http.StatusNotFound, "no such sweep")
 		return
 	}
 	arts := sw.artifactsSnapshot()
 	if arts == nil {
-		httpError(w, http.StatusConflict,
+		HTTPError(w, http.StatusConflict,
 			fmt.Sprintf("sweep is %s: artifacts are available once every child is done", sw.stateNow()))
 		return
 	}
@@ -791,5 +649,5 @@ func (s *Server) handleSweepArtifacts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, arts)
+	WriteJSON(w, arts)
 }
