@@ -15,22 +15,16 @@ import (
 
 // The sweep benchmark measures what the trace store and the
 // single-pass engine exist for: one workload simulated under every
-// scheme, end to end. Four arms:
+// scheme, end to end, as one SchemeSweep (one lockstep pass drives
+// every scheme's back half). Three arms:
 //
-//   - live: every scheme regenerates the reference stream from scratch
-//     (the pre-store behaviour: DisableTraceCache + DisableSinglePass).
-//   - cold: a fresh store — the sweep pays one materialisation, then
-//     replays it for the remaining schemes (per-scheme simulation).
-//   - warm: the store already holds the stream, the regime figure-scale
-//     sessions run in (every sensitivity sweep — PT size, recal period,
-//     inclusion — re-simulates the same (workload, seed, scale, refs)
-//     key dozens of times, so the one materialisation is amortised to
-//     nothing). Still one sim.Run per scheme.
-//   - multi: warm store plus the single-pass lockstep engine — one
-//     trace pass drives every scheme's back half concurrently
-//     (sim.RunMulti through the runner's default SchemeSweep path).
-//     On a multi-core machine this is the arm that shows the engine's
-//     speedup; on one core it measures the lockstep overhead.
+//   - live: every pass regenerates the reference stream from scratch
+//     (DisableTraceCache).
+//   - multi: the trace store already holds the stream, the regime
+//     figure-scale sessions run in (every sensitivity sweep — PT size,
+//     recal period, inclusion — re-simulates the same (workload, seed,
+//     scale, refs) key dozens of times, so the one materialisation is
+//     amortised to nothing), so the pass replays it.
 //   - snap: multi plus a warmed snapshot store — every scheme's
 //     warm state was captured once (untimed), so each repeat restores
 //     the engines at the warmup/measure boundary and simulates only
@@ -39,20 +33,17 @@ import (
 //     ablations (recal period, adaptive knobs, measure length) run in.
 //
 // Each repeat uses a fresh runner so result memoisation cannot short-
-// circuit the simulations; the warm and multi arms share one
+// circuit the simulations; the multi and snap arms share one
 // caller-owned store across runners. Arms are interleaved within each
 // repeat so slow drift on a shared machine biases neither side, and
 // best-of-N is reported per arm (the minimum is the least
-// noise-contaminated estimate). The per-scheme arms run single-worker
-// so their ratios isolate redundant generation rather than scheduler
-// luck; the multi arm's intra-pass parallelism is the machine
-// (IntraParallelism 0 = auto with Parallelism 1).
+// noise-contaminated estimate). Every arm's intra-pass parallelism is
+// the machine (IntraParallelism 0 = auto with Parallelism 1).
 //
 // Cache counters are per-arm DELTAS of the store's cumulative stats
 // (tracestore.Stats.Delta), snapshotted around the best repeat's run.
-// The raw counters accumulate for the store's lifetime — comparing a
-// warm store's lifetime MaterializeNanos against a cold store's single
-// fill once made warm generation look slower than cold.
+// The raw counters accumulate for the store's lifetime, so only a
+// delta says what one repeat did.
 const (
 	sweepWorkload    = "soplex"
 	sweepRefsPerCore = 50_000
@@ -71,8 +62,8 @@ type sweepArm struct {
 	SimulateNanos int64   `json:"simulate_nanos"`
 	// Cache counters (cached arms only): the DELTA the arm's best
 	// repeat moved the store's counters by. Misses is the number of
-	// generations that repeat actually ran — 1 for the cold arm, 0 for
-	// the warm and multi arms.
+	// generations that repeat actually ran — 0, as the store was
+	// warmed before timing started.
 	Cache *tracestore.Stats `json:"cache,omitempty"`
 	// Snapshots (snap arm only) is the warm-state store's counter delta
 	// over the best repeat: all Hits and Restores, no Misses, because
@@ -95,27 +86,17 @@ type sweepFile struct {
 	Schemes       []string `json:"schemes"`
 	Repeats       int      `json:"repeats"`
 	Live          sweepArm `json:"live"`
-	Cold          sweepArm `json:"cold"`
-	Warm          sweepArm `json:"warm"`
 	Multi         sweepArm `json:"multi"`
 	Snap          sweepArm `json:"snap"`
-	// ColdSpeedup is live/cold wall time: the gain when the sweep
-	// itself pays the one materialisation. WarmSpeedup is live/warm:
-	// the steady-state gain once the session's store holds the stream.
-	ColdSpeedup float64 `json:"cold_speedup"`
-	WarmSpeedup float64 `json:"warm_speedup"`
-	// MultiSpeedup is live/multi: the combined store + single-pass
-	// gain. MultiWarmSpeedup is warm/multi: the single-pass engine's
-	// contribution alone, with the store's benefit already banked in
-	// both arms — the number that scales with cores.
-	MultiSpeedup     float64 `json:"multi_speedup"`
-	MultiWarmSpeedup float64 `json:"multi_warm_speedup"`
+	// MultiSpeedup is live/multi: what replaying the stored trace
+	// saves over regenerating it, with the pass otherwise identical.
+	MultiSpeedup float64 `json:"multi_speedup"`
 	// SnapSpeedup is multi/snap: the snapshot branch layer's
 	// contribution alone — warmup skipped, everything else identical.
 	SnapSpeedup float64 `json:"snap_speedup"`
 }
 
-// writeSweepBench runs the five arms and writes the comparison JSON.
+// writeSweepBench runs the three arms and writes the comparison JSON.
 func writeSweepBench(path string) error {
 	cfg := sim.Smoke()
 	cfg.RefsPerCore = sweepRefsPerCore
@@ -126,12 +107,10 @@ func writeSweepBench(path string) error {
 	// still normalised to the refs the sweep answers for.
 
 	// runOnce times one full sweep on a fresh runner; a nil store means
-	// live regeneration. singlePass selects the lockstep engine (the
-	// runner default) versus the legacy one-sim.Run-per-scheme path the
-	// live/cold/warm arms measure; snaps enables warm-state branching.
-	// The returned Stats is the store's counter delta across the run
-	// (zero when store is nil).
-	runOnce := func(store *tracestore.Store, singlePass bool, snaps *simstate.Store) (int64, tracestore.Stats, *experiment.Runner, []*sim.Result, error) {
+	// live regeneration, and snaps enables warm-state branching. The
+	// returned Stats is the store's counter delta across the run (zero
+	// when store is nil).
+	runOnce := func(store *tracestore.Store, snaps *simstate.Store) (int64, tracestore.Stats, *experiment.Runner, []*sim.Result, error) {
 		runner, err := experiment.NewRunner(experiment.Options{
 			Base:              cfg,
 			Seed:              1,
@@ -139,7 +118,6 @@ func writeSweepBench(path string) error {
 			Parallelism:       1,
 			DisableTraceCache: store == nil,
 			TraceCache:        store,
-			DisableSinglePass: !singlePass,
 			SnapshotCache:     snaps,
 		})
 		if err != nil {
@@ -178,15 +156,15 @@ func writeSweepBench(path string) error {
 		return true
 	}
 
-	var live, cold, warm, multi, snap sweepArm
-	var liveRes, warmRes, multiRes, snapRes []*sim.Result
+	var live, multi, snap sweepArm
+	var liveRes, multiRes, snapRes []*sim.Result
 	warmStore := tracestore.New(0)
 	snapStore := simstate.NewStore(0)
 
-	// Warm the shared store once, untimed, so every warm repeat replays;
-	// the same pass captures every scheme's warm-state blob, so every
-	// snap repeat restores.
-	if _, _, _, _, err := runOnce(warmStore, true, snapStore); err != nil {
+	// Warm the shared store once, untimed, so every multi repeat
+	// replays; the same pass captures every scheme's warm-state blob,
+	// so every snap repeat restores.
+	if _, _, _, _, err := runOnce(warmStore, snapStore); err != nil {
 		return fmt.Errorf("store warmup: %w", err)
 	}
 	if st := snapStore.Stats(); st.Puts != uint64(len(schemes)) {
@@ -194,7 +172,7 @@ func writeSweepBench(path string) error {
 	}
 
 	for i := 0; i < sweepRepeats; i++ {
-		wall, delta, r, res, err := runOnce(nil, false, nil)
+		wall, delta, r, res, err := runOnce(nil, nil)
 		if err != nil {
 			return fmt.Errorf("live arm: %w", err)
 		}
@@ -202,21 +180,7 @@ func writeSweepBench(path string) error {
 			liveRes = res
 		}
 
-		wall, delta, r, _, err = runOnce(tracestore.New(0), false, nil)
-		if err != nil {
-			return fmt.Errorf("cold arm: %w", err)
-		}
-		measure(&cold, wall, delta, true, r)
-
-		wall, delta, r, res, err = runOnce(warmStore, false, nil)
-		if err != nil {
-			return fmt.Errorf("warm arm: %w", err)
-		}
-		if measure(&warm, wall, delta, true, r) {
-			warmRes = res
-		}
-
-		wall, delta, r, res, err = runOnce(warmStore, true, nil)
+		wall, delta, r, res, err = runOnce(warmStore, nil)
 		if err != nil {
 			return fmt.Errorf("multi arm: %w", err)
 		}
@@ -225,7 +189,7 @@ func writeSweepBench(path string) error {
 		}
 
 		snapBefore := snapStore.Stats()
-		wall, delta, r, res, err = runOnce(warmStore, true, snapStore)
+		wall, delta, r, res, err = runOnce(warmStore, snapStore)
 		if err != nil {
 			return fmt.Errorf("snap arm: %w", err)
 		}
@@ -236,27 +200,17 @@ func writeSweepBench(path string) error {
 		}
 	}
 
-	// Replay, the lockstep engine and the snapshot branch must be
-	// invisible in the results, not just fast.
+	// Replay and the snapshot branch must be invisible in the results,
+	// not just fast.
 	for i, sc := range schemes {
-		if liveRes[i].String() != warmRes[i].String() {
-			return fmt.Errorf("%s: cached sweep diverged from live generation:\n  live:   %s\n  cached: %s",
-				sc, liveRes[i], warmRes[i])
-		}
 		if liveRes[i].String() != multiRes[i].String() {
-			return fmt.Errorf("%s: single-pass sweep diverged from live generation:\n  live:  %s\n  multi: %s",
+			return fmt.Errorf("%s: replayed sweep diverged from live generation:\n  live:  %s\n  multi: %s",
 				sc, liveRes[i], multiRes[i])
 		}
 		if liveRes[i].String() != snapRes[i].String() {
 			return fmt.Errorf("%s: snapshot-branched sweep diverged from live generation:\n  live: %s\n  snap: %s",
 				sc, liveRes[i], snapRes[i])
 		}
-	}
-	if cold.Cache == nil || cold.Cache.Misses != 1 {
-		return fmt.Errorf("cold arm did not generate exactly once: %+v", cold.Cache)
-	}
-	if warm.Cache == nil || warm.Cache.Misses != 0 || warm.Cache.MaterializeNanos != 0 {
-		return fmt.Errorf("warm arm generated despite the warmed store: %+v", warm.Cache)
 	}
 	if multi.Cache == nil || multi.Cache.Misses != 0 || multi.Cache.Hits != 1 {
 		return fmt.Errorf("multi arm should replay with exactly one store hit per pass: %+v", multi.Cache)
@@ -269,37 +223,30 @@ func writeSweepBench(path string) error {
 	}
 
 	out := sweepFile{
-		GeneratedAt:      time.Now().UTC().Format(time.RFC3339),
-		GoVersion:        runtime.Version(),
-		GOOS:             runtime.GOOS,
-		GOARCH:           runtime.GOARCH,
-		NumCPU:           runtime.NumCPU(),
-		Geometry:         "smoke",
-		Workload:         sweepWorkload,
-		RefsPerCore:      sweepRefsPerCore,
-		WarmupPerCore:    sweepWarmupPerCore,
-		Repeats:          sweepRepeats,
-		Live:             live,
-		Cold:             cold,
-		Warm:             warm,
-		Multi:            multi,
-		Snap:             snap,
-		ColdSpeedup:      float64(live.WallNanos) / float64(cold.WallNanos),
-		WarmSpeedup:      float64(live.WallNanos) / float64(warm.WallNanos),
-		MultiSpeedup:     float64(live.WallNanos) / float64(multi.WallNanos),
-		MultiWarmSpeedup: float64(warm.WallNanos) / float64(multi.WallNanos),
-		SnapSpeedup:      float64(multi.WallNanos) / float64(snap.WallNanos),
+		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
+		GoVersion:     runtime.Version(),
+		GOOS:          runtime.GOOS,
+		GOARCH:        runtime.GOARCH,
+		NumCPU:        runtime.NumCPU(),
+		Geometry:      "smoke",
+		Workload:      sweepWorkload,
+		RefsPerCore:   sweepRefsPerCore,
+		WarmupPerCore: sweepWarmupPerCore,
+		Repeats:       sweepRepeats,
+		Live:          live,
+		Multi:         multi,
+		Snap:          snap,
+		MultiSpeedup:  float64(live.WallNanos) / float64(multi.WallNanos),
+		SnapSpeedup:   float64(multi.WallNanos) / float64(snap.WallNanos),
 	}
 	for _, sc := range schemes {
 		out.Schemes = append(out.Schemes, sc.String())
 	}
 	fmt.Fprintf(os.Stderr,
-		"sweep %s x%d schemes: live %.3fs, cold %.3fs (%.2fx), warm %.3fs (%.2fx), multi %.3fs (%.2fx live, %.2fx warm), snap %.3fs (%.2fx multi)\n",
+		"sweep %s x%d schemes: live %.3fs, multi %.3fs (%.2fx live), snap %.3fs (%.2fx multi)\n",
 		sweepWorkload, len(schemes),
 		float64(live.WallNanos)/1e9,
-		float64(cold.WallNanos)/1e9, out.ColdSpeedup,
-		float64(warm.WallNanos)/1e9, out.WarmSpeedup,
-		float64(multi.WallNanos)/1e9, out.MultiSpeedup, out.MultiWarmSpeedup,
+		float64(multi.WallNanos)/1e9, out.MultiSpeedup,
 		float64(snap.WallNanos)/1e9, out.SnapSpeedup)
 
 	data, err := json.MarshalIndent(&out, "", "  ")

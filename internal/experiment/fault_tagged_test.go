@@ -11,20 +11,21 @@ import (
 	"redhip/internal/sim"
 )
 
-// faultOptions pins the per-scheme pool path (DisableSinglePass): one
-// injection-point evaluation per run, the granularity these contracts
-// are written against. The single-pass path evaluates the point once
-// per pass and fails every pending scheme together — covered by the
-// SinglePass variants below.
+// faultOptions is a one-worker runner over a tiny geometry. The
+// injection point fires once per pass: on the worker pool (r.run) that
+// is once per run, the granularity the first three contracts are
+// written against. SchemeSweep runs the whole sweep as one pass and
+// fails every pending scheme together — covered by the SinglePass
+// variants below.
 func faultOptions(in *faultinject.Injector) Options {
 	cfg := sim.Smoke()
 	cfg.RefsPerCore = 1_000
-	return Options{Base: cfg, Seed: 1, Workloads: []string{"mcf"}, Parallelism: 1, Fault: in, DisableSinglePass: true}
+	return Options{Base: cfg, Seed: 1, Workloads: []string{"mcf"}, Parallelism: 1, Fault: in}
 }
 
 // TestInjectedRunError: an Options.Fault error rule fails exactly the
-// scheduled run; once exhausted, a fresh runner completes the same
-// sweep cleanly.
+// scheduled run of the worker pool; once exhausted, a fresh runner
+// completes the same batch cleanly.
 func TestInjectedRunError(t *testing.T) {
 	in := faultinject.New(3, faultinject.Rule{
 		Point: faultinject.PointExperimentRun,
@@ -32,17 +33,19 @@ func TestInjectedRunError(t *testing.T) {
 		Err:   "transient run failure",
 	})
 	r := mustRunner(t, faultOptions(in))
-	if _, err := r.SchemeSweep("mcf", sim.Schemes()); !faultinject.IsInjected(err) {
-		t.Fatalf("SchemeSweep error = %v, want the injected failure", err)
+	if err := r.run(sweepJobs(r, "mcf", sim.Schemes())); !faultinject.IsInjected(err) {
+		t.Fatalf("run error = %v, want the injected failure", err)
+	}
+	if n := r.CacheSize(); n != len(sim.Schemes())-1 {
+		t.Fatalf("%d runs succeeded, want all but the one injected failure (%d)", n, len(sim.Schemes())-1)
 	}
 	// Rule exhausted: a fresh runner (fresh memo cache) succeeds.
 	r2 := mustRunner(t, faultOptions(in))
-	res, err := r2.SchemeSweep("mcf", sim.Schemes())
-	if err != nil {
-		t.Fatalf("post-exhaustion sweep: %v", err)
+	if err := r2.run(sweepJobs(r2, "mcf", sim.Schemes())); err != nil {
+		t.Fatalf("post-exhaustion run: %v", err)
 	}
-	if len(res) != len(sim.Schemes()) {
-		t.Fatalf("post-exhaustion sweep returned %d results", len(res))
+	if n := r2.CacheSize(); n != len(sim.Schemes()) {
+		t.Fatalf("post-exhaustion run memoised %d results", n)
 	}
 }
 
@@ -56,10 +59,10 @@ func TestInjectedRunPanicIsolated(t *testing.T) {
 		Panic: "injected run panic",
 	})
 	r := mustRunner(t, faultOptions(in))
-	_, err := r.SchemeSweep("mcf", sim.Schemes())
+	err := r.run(sweepJobs(r, "mcf", sim.Schemes()))
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("SchemeSweep error = %v (%T), want *PanicError", err, err)
+		t.Fatalf("run error = %v (%T), want *PanicError", err, err)
 	}
 	if !strings.Contains(pe.Error(), "injected run panic") {
 		t.Fatalf("PanicError = %q, want injected message", pe.Error())
@@ -67,9 +70,12 @@ func TestInjectedRunPanicIsolated(t *testing.T) {
 	if len(pe.Stack) == 0 || !strings.Contains(string(pe.Stack), "goroutine") {
 		t.Fatalf("PanicError.Stack missing or malformed: %q", pe.Stack)
 	}
-	// The runner survived the panic: the un-poisoned schemes are still
-	// runnable on the same instance.
-	if _, err := r.SchemeSweep("mcf", []sim.Scheme{sim.Schemes()[len(sim.Schemes())-1]}); err != nil {
+	// The worker survived the panic: it went on to run the other
+	// schemes, and the runner still serves a new workload.
+	if n := r.CacheSize(); n != len(sim.Schemes())-1 {
+		t.Fatalf("%d runs succeeded after the panic, want %d", n, len(sim.Schemes())-1)
+	}
+	if err := r.run(sweepJobs(r, "milc", sim.Schemes())); err != nil {
 		t.Fatalf("runner unusable after recovered panic: %v", err)
 	}
 }
@@ -90,16 +96,16 @@ func TestOnRunSeesInjectedFailure(t *testing.T) {
 		}
 	}
 	r := mustRunner(t, opts)
-	if _, err := r.SchemeSweep("mcf", sim.Schemes()); err == nil {
-		t.Fatalf("sweep with injected failure succeeded")
+	if err := r.run(sweepJobs(r, "mcf", sim.Schemes())); err == nil {
+		t.Fatalf("batch with injected failure succeeded")
 	}
 	if failed != 1 {
 		t.Fatalf("OnRun observed %d failures, want 1", failed)
 	}
 }
 
-// TestInjectedPassPanicSinglePass: on the single-pass path the pass is
-// the failure unit — an injected panic fails every pending scheme with
+// TestInjectedPassPanicSinglePass: in a SchemeSweep the pass is the
+// failure unit — an injected panic fails every pending scheme with
 // the same recovered *PanicError, and schemes already memoised before
 // the fault are unaffected.
 func TestInjectedPassPanicSinglePass(t *testing.T) {
@@ -109,7 +115,6 @@ func TestInjectedPassPanicSinglePass(t *testing.T) {
 		Panic: "injected pass panic",
 	})
 	opts := faultOptions(in)
-	opts.DisableSinglePass = false
 	var failed int
 	opts.OnRun = func(u RunUpdate) {
 		if u.Err != nil {
@@ -145,9 +150,7 @@ func TestInjectedPassErrorSinglePassFiresOncePerPass(t *testing.T) {
 		Times: 1,
 		Err:   "transient pass failure",
 	})
-	opts := faultOptions(in)
-	opts.DisableSinglePass = false
-	r := mustRunner(t, opts)
+	r := mustRunner(t, faultOptions(in))
 	if _, err := r.SchemeSweep("mcf", sim.Schemes()); !faultinject.IsInjected(err) {
 		t.Fatalf("SchemeSweep error = %v, want the injected failure", err)
 	}

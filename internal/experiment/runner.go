@@ -57,9 +57,9 @@ type Options struct {
 	// treat the Result as read-only.
 	OnRun func(RunUpdate)
 	// Context, when non-nil, cancels in-flight work: once it is done,
-	// workers stop picking up pending jobs and run methods return the
-	// context's error. Individual simulations are not interrupted
-	// mid-run — cancellation takes effect between runs.
+	// workers stop picking up pending jobs, a running pass stops at its
+	// next interrupt poll (sim.MultiOptions.Interrupt) and records
+	// nothing, and run methods return the context's error.
 	Context context.Context
 	// DisableTraceCache turns off the materialise-once trace store, so
 	// every run regenerates its reference stream from scratch (the
@@ -81,24 +81,21 @@ type Options struct {
 	// builds without the tag the field is inert.
 	Fault *faultinject.Injector
 	// IntraParallelism bounds the worker goroutines inside one
-	// single-pass multi-scheme simulation (sim.RunMulti back halves plus
-	// recalibration fan-out). Zero means "auto": divide GOMAXPROCS by
+	// SchemeSweep pass (sim.RunMultiOpt back halves plus recalibration
+	// fan-out); the job pool's passes always recalibrate sequentially.
+	// Zero means "auto": divide GOMAXPROCS by
 	// the job-level Parallelism so the two layers combined never
 	// oversubscribe the machine (see intraWorkers). Negative values are
 	// a configuration error. Results are unaffected either way — the
 	// knob trades goroutines for wall time only.
 	IntraParallelism int
-	// DisableSinglePass forces SchemeSweep onto the legacy path: one
-	// independent sim.Run per scheme through the job pool. The sweep
-	// benchmark's live/cold/warm arms measure against this path; real
-	// consumers leave it false and get the one-pass lockstep engine.
-	DisableSinglePass bool
 	// SnapshotCache, when non-nil, is a caller-owned warm-state snapshot
 	// store shared with other runners: jobs with a warmup window warm
 	// once per (geometry, workload, seed, warmup, scheme) lineage and
-	// branch their measure phases from the cached blob (sim.Warm /
-	// sim.RunFromSnapshot — bit-identical to cold runs by the golden
-	// contract). Mutually exclusive with SnapshotCacheBytes.
+	// branch their measure phases from the cached blob
+	// (sim.MultiOptions.SnapshotSink / Snapshots — bit-identical to cold
+	// runs by the golden contract). Mutually exclusive with
+	// SnapshotCacheBytes.
 	SnapshotCache *simstate.Store
 	// SnapshotCacheBytes, when positive, enables a runner-owned snapshot
 	// store with this byte budget. Zero leaves snapshotting off: warm
@@ -125,8 +122,8 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// intraWorkers resolves the per-pass worker count for a single-pass
-// multi-scheme simulation so the two parallelism layers compose
+// intraWorkers resolves the per-pass worker count for a simulation
+// pass so the two parallelism layers compose
 // without oversubscribing: jobWorkers pool goroutines may each drive a
 // pass of this many workers, and the product never exceeds procs
 // (GOMAXPROCS). requested = 0 means auto (procs / jobWorkers); an
@@ -249,15 +246,12 @@ func (r *Runner) resultFor(j job) (*sim.Result, error) {
 	return r.cache[j.key()], nil
 }
 
-// run executes all not-yet-cached jobs on a fixed pool of worker
-// goroutines: jobs flow through a channel to min(Parallelism, pending)
-// workers instead of spawning one goroutine per job behind a
-// semaphore, so a figure that wants hundreds of runs starts exactly as
-// many goroutines as can make progress.
-func (r *Runner) run(jobs []job) error {
-	// Deduplicate against the cache under the lock.
+// pending returns the jobs that are neither memoised nor failed yet,
+// each once.
+func (r *Runner) pending(jobs []job) []job {
 	r.mu.Lock()
-	pending := make([]job, 0, len(jobs))
+	defer r.mu.Unlock()
+	out := make([]job, 0, len(jobs))
 	seen := make(map[jobKey]bool, len(jobs))
 	for _, j := range jobs {
 		k := j.key()
@@ -271,9 +265,20 @@ func (r *Runner) run(jobs []job) error {
 		if _, ok := r.errs[k]; ok {
 			continue
 		}
-		pending = append(pending, j)
+		out = append(out, j)
 	}
-	r.mu.Unlock()
+	return out
+}
+
+// run executes all not-yet-cached jobs, each as a one-scheme pass, on a
+// fixed pool of worker goroutines: jobs flow through a channel to
+// min(Parallelism, pending) workers instead of spawning one goroutine
+// per job behind a semaphore, so a figure that wants hundreds of runs
+// starts exactly as many goroutines as can make progress. The pool
+// already spreads runs over the CPUs, so each pass recalibrates
+// sequentially (Parallelism 1).
+func (r *Runner) run(jobs []job) error {
+	pending := r.pending(jobs)
 	if len(pending) == 0 {
 		return r.firstError(jobs)
 	}
@@ -295,7 +300,7 @@ func (r *Runner) run(jobs []job) error {
 				if ctx.Err() != nil {
 					continue
 				}
-				r.runOne(j)
+				r.runPass([]job{j}, 1)
 			}
 		}()
 	}
@@ -324,36 +329,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("experiment: run panicked: %v", e.Value)
 }
 
-// runOne executes a single job and records its outcome.
-func (r *Runner) runOne(j job) {
-	res, err := r.executeIsolated(j)
-	r.mu.Lock()
-	if err != nil {
-		r.errs[j.key()] = err
-	} else {
-		r.cache[j.key()] = res
-	}
-	completed := len(r.cache) + len(r.errs)
-	r.mu.Unlock()
-	if r.opts.OnRun != nil {
-		r.opts.OnRun(RunUpdate{
-			Workload:  j.workload,
-			Scheme:    j.cfg.Scheme,
-			Inclusion: j.cfg.Inclusion,
-			Result:    res,
-			Err:       err,
-			Completed: completed,
-		})
-	}
-	if r.opts.Progress != nil {
-		if err != nil {
-			r.opts.Progress(fmt.Sprintf("%s/%s: ERROR %v", j.workload, j.cfg.Scheme, err))
-		} else {
-			r.opts.Progress(fmt.Sprintf("%s/%s/%s done (%d refs)", j.workload, j.cfg.Scheme, j.cfg.Inclusion, res.Refs))
-		}
-	}
-}
-
 // firstError returns the error of the first failed job, ordering
 // deterministically by (workload, scheme, inclusion) and then by input
 // position, regardless of which worker finished first.
@@ -380,29 +355,6 @@ func (r *Runner) firstError(jobs []job) error {
 	return nil
 }
 
-// executeIsolated is execute behind the runner's panic isolation: a
-// panicking simulation (or injected fault) becomes a *PanicError
-// recorded like any other run failure, and the worker goroutine
-// survives to drain its channel. The faultinject seam sits inside the
-// recover scope so injected panics exercise exactly this path.
-func (r *Runner) executeIsolated(j job) (res *sim.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			res, err = nil, &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	if faultinject.Enabled {
-		in := r.opts.Fault
-		if in == nil {
-			in = faultinject.Active()
-		}
-		if ferr := in.Point(faultinject.PointExperimentRun); ferr != nil {
-			return nil, ferr
-		}
-	}
-	return r.execute(j)
-}
-
 // buildSources constructs the per-core reference streams for one run:
 // fresh replay cursors over a materialised stream when the trace store
 // is enabled, live generators otherwise.
@@ -423,86 +375,11 @@ func (r *Runner) buildSources(workloadName string, cfg sim.Config) ([]workload.S
 	return workload.Sources(workloadName, cfg.Cores, cfg.WorkloadScale, r.opts.Seed)
 }
 
-// execute runs one simulation from scratch. With the trace store
-// enabled the reference stream comes from a materialised replay —
-// generated once per (workload, cores, scale, seed, refs) key and
-// shared read-only across every scheme and inclusion variant that needs
-// it; otherwise each run regenerates it live.
-func (r *Runner) execute(j job) (*sim.Result, error) {
-	srcs, err := r.buildSources(j.workload, j.cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := r.runSolo(j, srcs)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", j.workload, j.cfg.Scheme, err)
-	}
-	r.mu.Lock()
-	r.genNanos += res.Perf.GenerateNanos
-	r.simNanos += res.Perf.SimulateNanos
-	r.mu.Unlock()
-	// Reports label rows by workload name; mix's first source is a SPEC
-	// benchmark, so fix the label up here.
-	res.Workload = j.workload
-	return res, nil
-}
-
-// runSolo executes one simulation, branching from a cached warm-state
-// snapshot when snapshot branching is enabled: a store hit skips the
-// warmup phase entirely; a miss warms once, publishes the blob, and
-// measures through the same restore path so both branches are pinned
-// bit-identical by the golden contract. Every unusable-snapshot
-// condition (sim.ErrSnapshot) degrades to a plain cold run.
-func (r *Runner) runSolo(j job, srcs []workload.Source) (*sim.Result, error) {
-	if r.snaps == nil || j.cfg.WarmupRefsPerCore == 0 {
-		return sim.Run(j.cfg, srcs)
-	}
-	// The warm key is derived from the first source's name — for mix
-	// workloads that is the leading SPEC component, matching what
-	// sim.Warm records in the blob's metadata.
-	key := simstate.Key(sim.WarmKey(j.cfg, srcs[0].Name(), r.opts.Seed))
-	blob, hit := r.snaps.Get(key)
-	if !hit {
-		warmed, werr := sim.Warm(j.cfg, srcs, r.opts.Seed)
-		if werr != nil {
-			if errors.Is(werr, sim.ErrSnapshot) {
-				// Sources that can't checkpoint (or a warmup-free config
-				// racing a store reconfiguration): run cold. Warm rejects
-				// these before consuming any records.
-				return sim.Run(j.cfg, srcs)
-			}
-			return nil, werr
-		}
-		r.snaps.Put(key, warmed)
-		blob = warmed
-	}
-	res, err := sim.RunFromSnapshot(j.cfg, blob, srcs, r.opts.Seed)
-	if err != nil {
-		if errors.Is(err, sim.ErrSnapshot) {
-			// A stale or foreign blob may have partially re-seated the
-			// source cursors before being rejected — rebuild them fresh
-			// for the cold fallback.
-			fresh, serr := r.buildSources(j.workload, j.cfg)
-			if serr != nil {
-				return nil, serr
-			}
-			return sim.Run(j.cfg, fresh)
-		}
-		return nil, err
-	}
-	r.snaps.RecordRestore(res.Perf.RestoreNanos)
-	return res, nil
-}
-
 // SchemeSweep simulates one workload under each scheme at the base
-// configuration, returning results in scheme order. By default all
-// schemes ride one single-pass lockstep simulation (sim.RunMulti): the
-// reference stream is decoded once and every scheme's back half
-// consumes it in the same pass, bit-identical to independent runs.
-// Options.DisableSinglePass reverts to one sim.Run per scheme through
-// the job pool — the shape the sweep benchmark's legacy arms measure.
-// Memoisation applies on both paths: already-cached schemes are
-// excluded from the pass and served from the cache.
+// configuration, returning results in scheme order. The schemes not
+// yet memoised ride one lockstep pass: the reference stream is decoded
+// once and every scheme's back half consumes it in the same pass,
+// bit-identical to independent runs.
 func (r *Runner) SchemeSweep(workloadName string, schemes []sim.Scheme) ([]*sim.Result, error) {
 	jobs := make([]job, len(schemes))
 	for i, sc := range schemes {
@@ -510,11 +387,16 @@ func (r *Runner) SchemeSweep(workloadName string, schemes []sim.Scheme) ([]*sim.
 		cfg.Scheme = sc
 		jobs[i] = job{workload: workloadName, cfg: cfg}
 	}
-	if r.opts.DisableSinglePass {
-		if err := r.run(jobs); err != nil {
+	if pending := r.pending(jobs); len(pending) > 0 {
+		if err := r.opts.Context.Err(); err != nil {
 			return nil, err
 		}
-	} else if err := r.runMultiPass(workloadName, jobs); err != nil {
+		par := intraWorkers(r.opts.IntraParallelism, r.opts.Parallelism, runtime.GOMAXPROCS(0))
+		if err := r.runPass(pending, par); err != nil {
+			return nil, err
+		}
+	}
+	if err := r.firstError(jobs); err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
@@ -526,58 +408,30 @@ func (r *Runner) SchemeSweep(workloadName string, schemes []sim.Scheme) ([]*sim.
 	return out, nil
 }
 
-// runMultiPass executes the not-yet-cached jobs of one scheme sweep as
-// a single sim.RunMulti pass and records per-scheme outcomes exactly
-// like the job pool would: memo cache entries, OnRun notifications in
-// scheme order, Progress lines, phase-time accumulation. Jobs must
-// differ only in Scheme (SchemeSweep guarantees this).
-func (r *Runner) runMultiPass(workloadName string, jobs []job) error {
-	r.mu.Lock()
-	pending := make([]job, 0, len(jobs))
-	seen := make(map[jobKey]bool, len(jobs))
-	for _, j := range jobs {
-		k := j.key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if _, ok := r.cache[k]; ok {
-			continue
-		}
-		if _, ok := r.errs[k]; ok {
-			continue
-		}
-		pending = append(pending, j)
+// runPass executes jobs that differ only in Scheme as one pass of
+// parallelism workers (sim.MultiOptions.Parallelism) and records each
+// job's outcome: memo cache entry, OnRun notification and Progress
+// line in job order, phase-time accumulation. Each job gets its own
+// scheme's error. When the context ended during the pass it records
+// nothing and returns the context's error, even if the pass finished.
+func (r *Runner) runPass(jobs []job, parallelism int) error {
+	workloadName := jobs[0].workload
+	results, err := r.executePass(workloadName, jobs, parallelism)
+	if cerr := r.opts.Context.Err(); cerr != nil {
+		return cerr
 	}
-	r.mu.Unlock()
-	if len(pending) == 0 {
-		return r.firstError(jobs)
-	}
-	if err := r.opts.Context.Err(); err != nil {
-		return err
-	}
-
-	schemes := make([]sim.Scheme, len(pending))
-	for i, j := range pending {
-		schemes[i] = j.cfg.Scheme
-	}
-	results, err := r.executeMultiIsolated(workloadName, pending[0].cfg, schemes)
 	if err != nil && results == nil {
-		// Pass-level failure (interrupt, source construction, panic):
-		// every pending slot fails with the same cause.
-		if r.opts.Context.Err() != nil {
-			return r.opts.Context.Err()
-		}
-		results = make([]*sim.Result, len(pending))
+		// The whole pass failed (source construction, fault, panic):
+		// every job fails with the same cause.
+		results = make([]*sim.Result, len(jobs))
 	}
-	for i, j := range pending {
-		var res *sim.Result
+	for i, j := range jobs {
+		res := results[i]
 		var runErr error
-		if results[i] != nil {
-			res = results[i]
-			res.Workload = workloadName
+		if res != nil {
+			res.Workload = workloadName // mix's first source is a SPEC benchmark
 		} else {
-			runErr = fmt.Errorf("%s/%s: %w", workloadName, j.cfg.Scheme, err)
+			runErr = fmt.Errorf("%s/%s: %w", workloadName, j.cfg.Scheme, sim.SlotErr(err, i))
 		}
 		r.mu.Lock()
 		if runErr != nil {
@@ -603,18 +457,26 @@ func (r *Runner) runMultiPass(workloadName string, jobs []job) error {
 			if runErr != nil {
 				r.opts.Progress(fmt.Sprintf("%s/%s: ERROR %v", workloadName, j.cfg.Scheme, runErr))
 			} else {
-				r.opts.Progress(fmt.Sprintf("%s/%s/%s done (%d refs, single-pass)", workloadName, j.cfg.Scheme, j.cfg.Inclusion, res.Refs))
+				r.opts.Progress(fmt.Sprintf("%s/%s/%s done (%d refs)", workloadName, j.cfg.Scheme, j.cfg.Inclusion, res.Refs))
 			}
 		}
 	}
-	return r.firstError(jobs)
+	return nil
 }
 
-// executeMultiIsolated runs one multi-scheme pass behind the same
-// panic isolation and fault seam as per-scheme runs: the injection
-// point fires once per pass (it replaces N single runs), and a panic
-// fails the whole pass as a *PanicError.
-func (r *Runner) executeMultiIsolated(workloadName string, base sim.Config, schemes []sim.Scheme) (results []*sim.Result, err error) {
+// executePass runs one sim.RunMultiOpt pass over the jobs' schemes
+// behind the runner's panic isolation: a panicking simulation (or
+// injected fault) becomes a *PanicError that fails the whole pass, and
+// the calling goroutine survives. The faultinject seam fires once per
+// pass, inside the recover scope so injected panics exercise exactly
+// this path.
+//
+// With a snapshot store and a warmup window, a pass whose schemes all
+// hit the store restores every engine at the boundary and skips the
+// warmup walk; any other pass runs cold with a sink that captures each
+// scheme's warm state for future passes. sim.ErrSnapshot from the
+// restored pass degrades to the cold path over fresh sources.
+func (r *Runner) executePass(workloadName string, jobs []job, parallelism int) (results []*sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			results, err = nil, &PanicError{Value: v, Stack: debug.Stack()}
@@ -629,24 +491,27 @@ func (r *Runner) executeMultiIsolated(workloadName string, base sim.Config, sche
 			return nil, ferr
 		}
 	}
+	base := jobs[0].cfg
+	schemes := make([]sim.Scheme, len(jobs))
+	for i, j := range jobs {
+		schemes[i] = j.cfg.Scheme
+	}
 	srcs, err := r.buildSources(workloadName, base)
 	if err != nil {
 		return nil, err
 	}
 	ctx := r.opts.Context
 	opt := sim.MultiOptions{
-		Parallelism: intraWorkers(r.opts.IntraParallelism, r.opts.Parallelism, runtime.GOMAXPROCS(0)),
+		Parallelism: parallelism,
 		Interrupt:   func() error { return ctx.Err() },
 	}
 	if r.snaps == nil || base.WarmupRefsPerCore == 0 {
 		return sim.RunMultiOpt(base, schemes, srcs, opt)
 	}
 
-	// Snapshot branching: when every scheme's warm blob is cached the
-	// pass restores all engines at the boundary and skips the warmup
-	// walk; otherwise a cold pass runs with a sink that captures each
-	// scheme's warm state for future passes. sim.ErrSnapshot from the
-	// restored pass degrades to the cold path over fresh sources.
+	// The warm key is derived from the first source's name — for mix
+	// workloads that is the leading SPEC component, matching what the
+	// driver records in the blob's metadata.
 	seed := r.opts.Seed
 	name := srcs[0].Name()
 	keys := make([]simstate.Key, len(schemes))
@@ -655,9 +520,7 @@ func (r *Runner) executeMultiIsolated(workloadName string, base sim.Config, sche
 	for i, sc := range schemes {
 		keys[i] = simstate.Key(sim.WarmKey(base.WithScheme(sc), name, seed))
 		b, ok := r.snaps.Get(keys[i])
-		if !ok {
-			allHit = false
-		}
+		allHit = allHit && ok
 		blobs[i] = b
 	}
 	opt.SnapshotSeed = seed
@@ -665,21 +528,17 @@ func (r *Runner) executeMultiIsolated(workloadName string, base sim.Config, sche
 		ropt := opt
 		ropt.Snapshots = blobs
 		results, rerr := sim.RunMultiOpt(base, schemes, srcs, ropt)
-		if rerr == nil {
+		if !errors.Is(rerr, sim.ErrSnapshot) {
 			for _, res := range results {
 				if res != nil {
 					r.snaps.RecordRestore(res.Perf.RestoreNanos)
 				}
 			}
-			return results, nil
+			return results, rerr
 		}
-		if !errors.Is(rerr, sim.ErrSnapshot) {
-			return nil, rerr
-		}
-		// A rejected blob may have partially re-seated the replay
-		// cursors — rebuild sources before falling back cold.
-		srcs, err = r.buildSources(workloadName, base)
-		if err != nil {
+		// A rejected blob may have partially re-seated the source
+		// cursors — rebuild them before falling back cold.
+		if srcs, err = r.buildSources(workloadName, base); err != nil {
 			return nil, err
 		}
 	}

@@ -82,12 +82,22 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
+// sweepJobs lists one job per scheme at the runner's base
+// configuration: a scheme sweep shaped for the worker pool (r.run),
+// which runs each job as its own one-scheme pass.
+func sweepJobs(r *Runner, workloadName string, schemes []sim.Scheme) []job {
+	jobs := make([]job, len(schemes))
+	for i, sc := range schemes {
+		jobs[i] = job{workload: workloadName, cfg: r.BaseConfig().WithScheme(sc)}
+	}
+	return jobs
+}
+
 // TestContextCancellationMidSweep: cancelling from the OnRun hook stops
-// the remaining runs of the same sweep. This is the per-scheme pool
-// path's contract (DisableSinglePass); the single-pass engine runs the
-// whole sweep as one simulation, so its cancellation granularity is
-// the pass round, covered by TestContextCancellationSinglePass and
-// sim's interrupt test.
+// the remaining runs of the same batch. This is the worker pool's
+// contract (one pass per job); SchemeSweep runs the whole sweep as one
+// pass, so its cancellation granularity is the pass round, covered by
+// TestContextCancellationSinglePass and sim's interrupt test.
 func TestContextCancellationMidSweep(t *testing.T) {
 	cfg := sim.Smoke()
 	cfg.RefsPerCore = 2_000
@@ -96,17 +106,16 @@ func TestContextCancellationMidSweep(t *testing.T) {
 
 	var completed int
 	r := mustRunner(t, Options{
-		Base:              cfg,
-		Workloads:         []string{"mcf"},
-		Parallelism:       1,
-		Context:           ctx,
-		DisableSinglePass: true,
+		Base:        cfg,
+		Workloads:   []string{"mcf"},
+		Parallelism: 1,
+		Context:     ctx,
 		OnRun: func(u RunUpdate) {
 			completed = u.Completed
 			cancel() // stop after the first run
 		},
 	})
-	_, err := r.SchemeSweep("mcf", sim.Schemes())
+	err := r.run(sweepJobs(r, "mcf", sim.Schemes()))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-sweep cancel = %v, want context.Canceled", err)
 	}
@@ -142,5 +151,102 @@ func TestContextCancellationSinglePass(t *testing.T) {
 	}
 	if _, err := r.SchemeSweep("milc", sim.Schemes()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("post-cancel sweep = %v, want context.Canceled", err)
+	}
+}
+
+// countdownCtx stays live for its first left Err calls and reports
+// context.Canceled from then on, so a test can land a cancellation on
+// a chosen interrupt poll inside a running pass.
+type countdownCtx struct {
+	context.Context
+	mu   sync.Mutex
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.left > 0 {
+		c.left--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestContextCancellationDuringPass: a context that ends while a
+// one-scheme pass is running stops the pass at its next source refill.
+// Nothing is memoised or reported, and the caller gets the context's
+// error, both for the worker pool and for a one-scheme SchemeSweep.
+func TestContextCancellationDuringPass(t *testing.T) {
+	cfg := sim.Smoke()
+	for _, pool := range []bool{true, false} {
+		// Two polls before the pass (the pool's pick-up or the sweep's
+		// pre-check, then the first refill), so the third lands mid-run.
+		ctx := &countdownCtx{Context: context.Background(), left: 2}
+		fired := false
+		r := mustRunner(t, Options{
+			Base:        cfg,
+			Workloads:   []string{"mcf"},
+			Parallelism: 1,
+			Context:     ctx,
+			OnRun:       func(RunUpdate) { fired = true },
+		})
+		var err error
+		if pool {
+			err = r.run(sweepJobs(r, "mcf", []sim.Scheme{sim.ReDHiP}))
+		} else {
+			_, err = r.SchemeSweep("mcf", []sim.Scheme{sim.ReDHiP})
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("pool=%v: cancel during the pass = %v, want context.Canceled", pool, err)
+		}
+		if fired || r.CacheSize() != 0 {
+			t.Fatalf("pool=%v: interrupted pass reported (OnRun=%v) or memoised %d runs", pool, fired, r.CacheSize())
+		}
+	}
+}
+
+// TestSchemeSweepPerSchemeErrors: when several schemes of one pass
+// fail, each memoised error, each OnRun error and each returned error
+// is that scheme's own, never another scheme's. CBF is invalid under
+// Exclusive, and so is ReDHiP with a recalibration period of 1.
+func TestSchemeSweepPerSchemeErrors(t *testing.T) {
+	cfg := sim.Smoke().WithInclusion(sim.Exclusive)
+	cfg.RefsPerCore = 2_000
+	cfg.RecalPeriod = 1
+	schemes := []sim.Scheme{sim.CBF, sim.ReDHiP}
+	want := map[sim.Scheme]string{}
+	for _, sc := range schemes {
+		c := cfg.WithScheme(sc)
+		err := c.Validate()
+		if err == nil {
+			t.Fatalf("%s: configuration unexpectedly valid", sc)
+		}
+		want[sc] = "mcf/" + sc.String() + ": " + err.Error()
+	}
+	if want[sim.CBF] == want[sim.ReDHiP] {
+		t.Fatal("both schemes fail with the same message; the test cannot tell them apart")
+	}
+
+	onRun := map[sim.Scheme]string{}
+	r := mustRunner(t, Options{
+		Base:        cfg,
+		Workloads:   []string{"mcf"},
+		Parallelism: 1,
+		OnRun:       func(u RunUpdate) { onRun[u.Scheme] = u.Err.Error() },
+	})
+	if _, err := r.SchemeSweep("mcf", schemes); err == nil || err.Error() != want[sim.CBF] {
+		t.Errorf("SchemeSweep error = %v, want %q", err, want[sim.CBF])
+	}
+	for i, sc := range schemes {
+		if onRun[sc] != want[sc] {
+			t.Errorf("%s: OnRun error %q, want %q", sc, onRun[sc], want[sc])
+		}
+		if got := r.errs[sweepJobs(r, "mcf", schemes)[i].key()]; got == nil || got.Error() != want[sc] {
+			t.Errorf("%s: memoised error %v, want %q", sc, got, want[sc])
+		}
+		if _, err := r.SchemeSweep("mcf", []sim.Scheme{sc}); err == nil || err.Error() != want[sc] {
+			t.Errorf("%s: returned error %v, want %q", sc, err, want[sc])
+		}
 	}
 }

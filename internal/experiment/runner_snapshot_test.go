@@ -33,33 +33,50 @@ func resultJSON(t *testing.T, res *sim.Result) string {
 	return string(b)
 }
 
+// sweepVia runs schemes over workloadName either as one SchemeSweep
+// pass or through the worker pool (one one-scheme pass per job).
+func sweepVia(t *testing.T, r *Runner, pool bool, workloadName string, schemes []sim.Scheme) []*sim.Result {
+	t.Helper()
+	if !pool {
+		res, err := r.SchemeSweep(workloadName, schemes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	jobs := sweepJobs(r, workloadName, schemes)
+	if err := r.run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*sim.Result, len(jobs))
+	for i, j := range jobs {
+		res, err := r.resultFor(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = res
+	}
+	return out
+}
+
 // TestRunnerSnapshotBranchBitIdentical pins the runner-level contract:
 // enabling the snapshot store changes nothing about the results, on
-// both the single-pass lockstep path and the legacy per-scheme path.
+// both SchemeSweep's lockstep pass and the worker pool's one-scheme
+// passes.
 func TestRunnerSnapshotBranchBitIdentical(t *testing.T) {
 	schemes := []sim.Scheme{sim.Base, sim.ReDHiP, sim.Oracle}
-	for _, legacy := range []bool{false, true} {
+	for _, pool := range []bool{false, true} {
 		name := "single-pass"
-		if legacy {
+		if pool {
 			name = "per-scheme"
 		}
 		t.Run(name, func(t *testing.T) {
-			plainOpts := snapshotOpts()
-			plainOpts.DisableSinglePass = legacy
-			plain := mustRunner(t, plainOpts)
-			want, err := plain.SchemeSweep("mcf", schemes)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := sweepVia(t, mustRunner(t, snapshotOpts()), pool, "mcf", schemes)
 
 			snapOpts := snapshotOpts()
-			snapOpts.DisableSinglePass = legacy
 			snapOpts.SnapshotCacheBytes = 64 << 20
 			snap := mustRunner(t, snapOpts)
-			got, err := snap.SchemeSweep("mcf", schemes)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := sweepVia(t, snap, pool, "mcf", schemes)
 			for i := range want {
 				if a, b := resultJSON(t, want[i]), resultJSON(t, got[i]); a != b {
 					t.Errorf("%s: snapshot-branched result diverged\n got %s\nwant %s", schemes[i], b, a)
@@ -76,13 +93,9 @@ func TestRunnerSnapshotBranchBitIdentical(t *testing.T) {
 			// A second runner sharing the store must restore rather than
 			// re-warm, and still match bit-for-bit.
 			reuseOpts := snapshotOpts()
-			reuseOpts.DisableSinglePass = legacy
 			reuseOpts.SnapshotCache = snap.snaps
 			reuse := mustRunner(t, reuseOpts)
-			again, err := reuse.SchemeSweep("mcf", schemes)
-			if err != nil {
-				t.Fatal(err)
-			}
+			again := sweepVia(t, reuse, pool, "mcf", schemes)
 			for i := range want {
 				if a, b := resultJSON(t, want[i]), resultJSON(t, again[i]); a != b {
 					t.Errorf("%s: restored-from-shared-store result diverged", schemes[i])
@@ -99,25 +112,50 @@ func TestRunnerSnapshotBranchBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRunnerSnapshotPoolMissCaptures pins the worker pool's snapshot
+// branch: a job that misses the store runs cold and captures its warm
+// state through the sink (one Put, no restore), the same job on a
+// second runner restores it (one restore), and both match a runner
+// with no snapshot store bit-for-bit.
+func TestRunnerSnapshotPoolMissCaptures(t *testing.T) {
+	schemes := []sim.Scheme{sim.ReDHiP}
+	want := sweepVia(t, mustRunner(t, snapshotOpts()), true, "mcf", schemes)[0]
+	store := simstate.NewStore(64 << 20)
+	for i, tc := range []struct {
+		name                 string
+		puts, hits, restores uint64
+	}{
+		{"miss", 1, 0, 0},
+		{"hit", 1, 1, 1},
+	} {
+		opts := snapshotOpts()
+		opts.SnapshotCache = store
+		got := sweepVia(t, mustRunner(t, opts), true, "mcf", schemes)[0]
+		if a, b := resultJSON(t, want), resultJSON(t, got); a != b {
+			t.Errorf("%s: result diverged from the store-less runner\n got %s\nwant %s", tc.name, b, a)
+		}
+		st := store.Stats()
+		if st.Puts != tc.puts || st.Hits != tc.hits || st.Restores != tc.restores {
+			t.Errorf("run %d (%s): store stats %+v, want Puts %d, Hits %d, Restores %d",
+				i, tc.name, st, tc.puts, tc.hits, tc.restores)
+		}
+	}
+}
+
 // TestRunnerSnapshotMeasureVariants pins the branching win: measure
 // windows of different lengths share one warm lineage (the key zeroes
 // RefsPerCore), so the second variant restores instead of re-warming.
 func TestRunnerSnapshotMeasureVariants(t *testing.T) {
 	store := simstate.NewStore(64 << 20)
-	run := func(refs uint64) *sim.Result {
+	run := func(refs uint64, store *simstate.Store) *sim.Result {
 		opts := snapshotOpts()
 		opts.Base.RefsPerCore = refs
 		opts.SnapshotCache = store
-		opts.DisableSinglePass = true
 		r := mustRunner(t, opts)
-		res, err := r.SchemeSweep("mcf", []sim.Scheme{sim.ReDHiP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res[0]
+		return sweepVia(t, r, true, "mcf", []sim.Scheme{sim.ReDHiP})[0]
 	}
-	short := run(8_000)
-	long := run(12_000)
+	short := run(8_000, store)
+	long := run(12_000, store)
 	if short.Refs == long.Refs {
 		t.Fatal("variants collapsed to the same measure window")
 	}
@@ -134,15 +172,7 @@ func TestRunnerSnapshotMeasureVariants(t *testing.T) {
 		refs uint64
 		res  *sim.Result
 	}{{8_000, short}, {12_000, long}} {
-		opts := snapshotOpts()
-		opts.Base.RefsPerCore = tc.refs
-		opts.DisableSinglePass = true
-		r := mustRunner(t, opts)
-		cold, err := r.SchemeSweep("mcf", []sim.Scheme{sim.ReDHiP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a, b := resultJSON(t, cold[0]), resultJSON(t, tc.res); a != b {
+		if a, b := resultJSON(t, run(tc.refs, nil)), resultJSON(t, tc.res); a != b {
 			t.Errorf("refs=%d: branched variant diverged from cold run", tc.refs)
 		}
 	}

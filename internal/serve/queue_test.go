@@ -115,6 +115,32 @@ func TestCancelRunning(t *testing.T) {
 	ts.waitState(resub.ID, StateDone)
 }
 
+// TestCancelRunningMidPass: DELETE on a one-scheme job whose
+// simulation is already under way stops the pass mid-run, so the job
+// ends "cancelled" without results instead of running to "done".
+func TestCancelRunningMidPass(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2})
+	spec := specWithSeed(1)
+	spec.Schemes = []string{"redhip"}
+	spec.RefsPerCore = 300_000 // long enough that the cancel lands mid-pass
+	sub := ts.submit(spec, http.StatusAccepted)
+
+	// The trace is materialised just before the pass starts; cancel as
+	// soon as it exists.
+	deadline := time.Now().Add(30 * time.Second)
+	for ts.s.traces.Stats().Materializations == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("trace never materialised")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ts.deleteJob(sub.ID)
+	st := ts.waitState(sub.ID, StateCancelled)
+	if st.Results != nil {
+		t.Fatalf("cancelled job has results")
+	}
+}
+
 // TestJobTimeout: a spec-level timeout expires while the worker is
 // held, and the job fails with a timeout error instead of hanging.
 func TestJobTimeout(t *testing.T) {

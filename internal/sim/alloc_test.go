@@ -46,7 +46,7 @@ func TestRunLoopAllocationFree(t *testing.T) {
 				replays[c] = workload.FromTrace(tr)
 				srcs[c] = replays[c]
 			}
-			e, err := newEngine(cfg, srcs)
+			e, err := newEngine(cfg, srcs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +57,8 @@ func TestRunLoopAllocationFree(t *testing.T) {
 				for _, r := range replays {
 					r.Rewind()
 				}
-				e.loop(cfg.RefsPerCore)
+				e.beginWindow(cfg.RefsPerCore)
+				e.runWindow()
 			}); n != 0 {
 				t.Errorf("%s steady-state loop allocated %.0f times per run, want 0", scheme, n)
 			}
@@ -95,7 +96,7 @@ func TestBatchRefillAllocationFree(t *testing.T) {
 		replays[c] = workload.FromTrace(tr)
 		srcs[c] = batchOnlySource{replays[c]}
 	}
-	e, err := newEngine(cfg, srcs)
+	e, err := newEngine(cfg, srcs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,8 @@ func TestBatchRefillAllocationFree(t *testing.T) {
 		for _, r := range replays {
 			r.Rewind()
 		}
-		e.loop(cfg.RefsPerCore)
+		e.beginWindow(cfg.RefsPerCore)
+		e.runWindow()
 	}); n != 0 {
 		t.Errorf("batch refill loop allocated %.0f times per run, want 0", n)
 	}
@@ -134,7 +136,7 @@ func TestMaterializedReplayAllocationFree(t *testing.T) {
 	for i, s := range srcs {
 		replays[i] = s.(*workload.TraceSource)
 	}
-	e, err := newEngine(cfg, srcs)
+	e, err := newEngine(cfg, srcs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,8 @@ func TestMaterializedReplayAllocationFree(t *testing.T) {
 		for _, r := range replays {
 			r.Rewind()
 		}
-		e.loop(cfg.RefsPerCore)
+		e.beginWindow(cfg.RefsPerCore)
+		e.runWindow()
 	}); n != 0 {
 		t.Errorf("materialised replay loop allocated %.0f times per run, want 0", n)
 	}

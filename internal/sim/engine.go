@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"redhip/internal/cache"
@@ -103,12 +102,12 @@ type engine struct {
 	remaining []uint64  //redhip:transient scheduler state, rebuilt at run start
 	heapDirty bool      //redhip:transient scheduler state, rebuilt at run start
 
-	// Multi-scheme back-half wiring (nil/zero for plain Run): feed
-	// replaces the direct source refill with block pulls from the shared
-	// traceFront, blocked flags a refill that found its next block not
-	// yet generated (runWindow suspends instead of popping the core),
-	// and phase/runErr/simNanos let the RunMulti driver resume the
-	// engine across rounds and collect its outcome. recalWorkers is the
+	// Driver wiring. feed (nil on a one-scheme pass) replaces the direct
+	// source refill with block pulls from the shared traceFront, and
+	// blocked flags a refill that found its next block not yet generated
+	// (runWindow suspends instead of popping the core). phase/runErr/
+	// simNanos let the RunMultiOpt driver resume the engine across
+	// rounds and collect its outcome. recalWorkers is the
 	// set-partitioned recalibration fan-out (1 = the sequential sweep).
 	feed         *multiFeed  //redhip:transient multi-scheme driver wiring, re-attached per run
 	blocked      bool        //redhip:transient multi-scheme driver wiring, re-attached per run
@@ -116,10 +115,14 @@ type engine struct {
 	runErr       error       //redhip:transient multi-scheme driver wiring, re-attached per run
 	simNanos     int64       //redhip:transient wall-time accounting, not simulated state
 	recalWorkers int         //redhip:transient parallelism config, set by the driver per run
+	// interrupt, set on a one-scheme pass, is polled before every direct
+	// refill; a non-nil error lands in runErr and suspends the run the
+	// way a blocked lockstep pull does, so the driver can abandon it.
+	interrupt func() error //redhip:transient driver wiring, re-attached per run
 	// snapSink, when non-nil, fires exactly once at the warmup/measure
 	// boundary (after resetMeasurement, before the measure window) so
-	// the RunMulti driver can capture this back half's warm state;
-	// restoreNanos records the time spent re-seating a restored engine.
+	// the driver can capture this engine's warm state; restoreNanos
+	// records the time spent restoring it (see PerfStats).
 	snapSink     func() //redhip:transient snapshot plumbing itself, re-attached by the driver
 	restoreNanos int64  //redhip:transient wall-time accounting, not simulated state
 
@@ -151,46 +154,26 @@ type engine struct {
 }
 
 // Run simulates the configured hierarchy over the per-core sources and
-// returns the collected result. sources must have exactly cfg.Cores
-// entries. Run is deterministic: the same config and sources produce
-// bit-identical results.
+// returns the collected result: slot 0 of a one-scheme RunMultiOpt
+// pass. Parallelism 1 keeps recalibration sequential. sources must have
+// exactly cfg.Cores entries. Run is deterministic: the same config and
+// sources produce bit-identical results.
 func Run(cfg Config, sources []workload.Source) (*Result, error) {
-	start := time.Now() //redhip:allow wallclock -- Perf wall-time reporting, not simulated time
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
-	e, err := newEngine(cfg, sources)
+	res, err := RunMultiOpt(cfg, []Scheme{cfg.Scheme}, sources, MultiOptions{Parallelism: 1})
 	if err != nil {
-		return nil, err
+		return nil, SlotErr(err, 0)
 	}
-	if e.cfg.WarmupRefsPerCore > 0 {
-		e.loop(e.cfg.WarmupRefsPerCore)
-		e.resetMeasurement()
-	}
-	e.loop(e.cfg.RefsPerCore)
-	if e.fnSeen {
-		return nil, fmt.Errorf("sim: predictor produced a false negative for block %v — conservativeness violated", e.fnBlock)
-	}
-	e.collect()
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
-	wall := time.Since(start) //redhip:allow wallclock -- Perf wall-time reporting
-	e.res.Perf = PerfStats{
-		WallNanos:     wall.Nanoseconds(),
-		GenerateNanos: e.genNanos,
-		SimulateNanos: wall.Nanoseconds() - e.genNanos,
-		AllocBytes:    memAfter.TotalAlloc - memBefore.TotalAlloc,
-		Mallocs:       memAfter.Mallocs - memBefore.Mallocs,
-	}
-	if secs := wall.Seconds(); secs > 0 {
-		e.res.Perf.RefsPerSec = float64(e.res.Refs) / secs
-	}
-	return e.res, nil
+	return res[0], nil
 }
 
 // newEngine validates the configuration and builds a ready-to-run
-// engine. Split from Run so the allocation tests and profiling hooks
-// can drive the reference loop directly.
-func newEngine(cfg Config, sources []workload.Source) (*engine, error) {
+// engine. With a nil front the engine refills straight from the
+// sources; otherwise it is one back half of a lockstep pass and pulls
+// its blocks from the shared front. Construction is otherwise
+// identical, so a back half cannot diverge from a lone engine. Split
+// from the driver so the allocation tests and profiling hooks can
+// drive the reference loop directly.
+func newEngine(cfg Config, sources []workload.Source, front *traceFront) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -205,10 +188,17 @@ func newEngine(cfg Config, sources []workload.Source) (*engine, error) {
 			Scheme:    cfg.Scheme,
 			Inclusion: cfg.Inclusion,
 		},
-		src: sources,
+	}
+	if front != nil {
+		e.feed = newMultiFeed(front)
+	} else {
+		e.src = sources
 	}
 	if err := e.build(); err != nil {
 		return nil, err
+	}
+	for c, s := range sources {
+		e.cpi[c] = s.CPI()
 	}
 	return e, nil
 }
@@ -235,9 +225,6 @@ func (e *engine) build() error {
 		}
 		if e.l3[c], err = cache.New(cfg.L3); err != nil {
 			return err
-		}
-		if e.src != nil {
-			e.cpi[c] = e.src[c].CPI()
 		}
 	}
 	var err error
@@ -353,15 +340,6 @@ func (e *engine) build() error {
 	return nil
 }
 
-// loop runs one measurement window to completion: beginWindow arms the
-// per-core budgets and scheduler heap, runWindow drains them. Run and
-// the allocation tests drive this wrapper; the RunMulti driver calls
-// the two halves separately because its runWindow may suspend.
-func (e *engine) loop(refsPerCore uint64) {
-	e.beginWindow(refsPerCore)
-	e.runWindow()
-}
-
 // beginWindow arms a new window of refsPerCore references per core and
 // (re)builds the scheduler heap over the cores with work left.
 func (e *engine) beginWindow(refsPerCore uint64) {
@@ -380,7 +358,7 @@ func (e *engine) beginWindow(refsPerCore uint64) {
 // The loop performs no allocations: the heap and remaining counters
 // are built once per engine.
 //
-// It returns true when the window is complete. In multi-feed mode it
+// It returns true when the window is complete. On a lockstep pass it
 // returns false when a refill found its next block not yet generated:
 // the heap and window state stay intact (the winning core has consumed
 // nothing), so a later call resumes at exactly the same scheduling
@@ -451,7 +429,7 @@ func (e *engine) runWindow() bool {
 	return true
 }
 
-// enginePhase is the multi-feed engine's position in the run lifecycle,
+// enginePhase is the engine's position in the run lifecycle,
 // advanced by runChunk as windows complete.
 type enginePhase uint8
 
@@ -472,11 +450,12 @@ func (e *engine) start() {
 	e.phase = phaseMeasure
 }
 
-// runChunk advances a multi-feed engine as far as the generated blocks
-// allow, crossing the warmup/measurement boundary when it falls inside
-// the chunk. It returns true when the run is complete (the result is
-// collected, or runErr records why it could not be); false means the
-// engine suspended waiting for the front to generate more blocks.
+// runChunk advances the engine as far as its sources allow, crossing
+// the warmup/measurement boundary when it falls inside the chunk. It
+// returns true when the run is complete (the result is collected, or
+// runErr records why it could not be); false means a lockstep back half
+// suspended waiting for the front to generate more blocks, or a
+// one-scheme run was interrupted (runErr holds the interrupt's error).
 func (e *engine) runChunk() bool {
 	for {
 		switch e.phase {
@@ -519,7 +498,7 @@ func (e *engine) refill(c int) bool {
 		want = batchRefs
 	}
 	if e.feed != nil {
-		// Multi-scheme mode: pull the next pre-generated block from the
+		// Lockstep back half: pull the next pre-generated block from the
 		// shared front. A blocked pull leaves the window untouched so
 		// runWindow can suspend and resume at this exact point.
 		w, st := e.feed.next(c, want)
@@ -529,6 +508,15 @@ func (e *engine) refill(c int) bool {
 		}
 		e.win[c], e.pos[c] = w, 0
 		return len(w) > 0
+	}
+	if e.interrupt != nil {
+		// Polling here, once per batch, lets a one-scheme pass stop
+		// mid-run as promptly as a lockstep pass stops between rounds.
+		if err := e.interrupt(); err != nil {
+			e.runErr = err
+			e.blocked = true
+			return false
+		}
 	}
 	start := time.Now() //redhip:allow wallclock -- genNanos perf attribution only
 	var w []trace.Record

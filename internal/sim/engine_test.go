@@ -311,11 +311,12 @@ func TestExclusiveLevelsDisjoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := newEngine(cfg, srcs)
+	e, err := newEngine(cfg, srcs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.loop(cfg.RefsPerCore)
+	e.beginWindow(cfg.RefsPerCore)
+	e.runWindow()
 	for c := 0; c < cfg.Cores; c++ {
 		e.l1[c].ForEachBlock(func(b memaddr.Addr) {
 			if e.l2[c].Contains(b) || e.l3[c].Contains(b) || e.l4.Contains(b) {
@@ -344,11 +345,12 @@ func TestInclusionInvariantHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := newEngine(cfg, srcs)
+	e, err := newEngine(cfg, srcs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.loop(cfg.RefsPerCore)
+	e.beginWindow(cfg.RefsPerCore)
+	e.runWindow()
 	for c := 0; c < cfg.Cores; c++ {
 		for _, lvl := range []int{1, 2, 3} {
 			var ch interface {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 
 	"redhip/internal/redhipassert"
@@ -15,7 +14,7 @@ import (
 // batchRefs-sized blocks whose boundaries are the same boundaries the
 // single-scheme engine's refill would cut (blocks never straddle the
 // warmup/measurement boundary), so a back half consuming front blocks
-// sees byte-for-byte the windows a solo Run would have seen.
+// sees byte-for-byte the windows a lone engine would have seen.
 //
 // Two storage modes, chosen per core at build time:
 //
@@ -29,7 +28,7 @@ import (
 //     lookahead, not the trace length — the paper-scale 500M-reference
 //     streams never exist in memory at once.
 //
-// Concurrency discipline: the RunMulti driver alternates a
+// Concurrency discipline: the lockstep driver alternates a
 // single-threaded generate/retire phase with a parallel simulate
 // phase. Block storage is only written between simulate phases and
 // only read during them (each feed cursor is owned by one engine), so
@@ -67,27 +66,19 @@ type coreStream struct {
 	exhausted bool             // source returned a short block
 }
 
-// traceFront owns the per-core block pipelines plus the stream
-// metadata the back halves need.
+// traceFront owns the per-core block pipelines.
 type traceFront struct {
 	cores    int
-	name     string
-	cpi      []float64
 	streams  []coreStream
 	windows  []uint64 // window lengths: optional warmup, then measurement
 	genNanos int64    // wall time inside source generation (the generate phase)
 }
 
-// newTraceFront builds the front over the per-core sources for the
-// window structure cfg describes.
-func newTraceFront(cfg *Config, sources []workload.Source) (*traceFront, error) {
-	if len(sources) != cfg.Cores {
-		return nil, fmt.Errorf("sim: %d sources for %d cores", len(sources), cfg.Cores)
-	}
+// newTraceFront builds the front over the per-core sources (one per
+// core) for the window structure cfg describes.
+func newTraceFront(cfg *Config, sources []workload.Source) *traceFront {
 	f := &traceFront{
 		cores:   cfg.Cores,
-		name:    sources[0].Name(),
-		cpi:     make([]float64, cfg.Cores),
 		streams: make([]coreStream, cfg.Cores),
 	}
 	if cfg.WarmupRefsPerCore > 0 {
@@ -99,7 +90,6 @@ func newTraceFront(cfg *Config, sources []workload.Source) (*traceFront, error) 
 		total += (l + batchRefs - 1) / batchRefs
 	}
 	for c, s := range sources {
-		f.cpi[c] = s.CPI()
 		st := &f.streams[c]
 		st.total = total
 		if sw, ok := s.(workload.StableWindowSource); ok && sw.StableWindows() {
@@ -108,13 +98,13 @@ func newTraceFront(cfg *Config, sources []workload.Source) (*traceFront, error) 
 			st.batch = workload.AsBatch(s)
 		}
 	}
-	return f, nil
+	return f
 }
 
 // blockLen returns the record count of block idx: batchRefs except for
 // each window's final block, which holds the remainder so no block
 // straddles a warmup/measurement boundary. This is exactly the size a
-// solo engine's refill would request at the same point (refill caps at
+// lone engine's refill would request at the same point (refill caps at
 // the references the core still owes the window).
 func (f *traceFront) blockLen(idx uint64) uint64 {
 	for _, l := range f.windows {

@@ -26,9 +26,44 @@ func snapCfg(scheme Scheme, incl InclusionPolicy, prefetch bool) (Config, string
 	return cfg, wl
 }
 
+// captureWarm runs cfg's scheme as a one-scheme pass with a
+// SnapshotSink and returns the warm-state blob it captured, checking
+// that capturing left the result at want's fingerprint.
+func captureWarm(t *testing.T, cfg Config, srcs []workload.Source, want string) []byte {
+	t.Helper()
+	var blob []byte
+	res, err := RunMultiOpt(cfg, []Scheme{cfg.Scheme}, srcs, MultiOptions{
+		SnapshotSeed: 1,
+		SnapshotSink: func(_ Scheme, b []byte) { blob = b },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := goldenFingerprint(t, res[0]); want != "" && got != want {
+		t.Errorf("capture pass fingerprint %s, want %s — SnapshotSink changed results", got, want)
+	}
+	if blob == nil {
+		t.Fatal("SnapshotSink never fired")
+	}
+	return blob
+}
+
+// restoreWarm runs cfg's scheme as a one-scheme pass restored from blob.
+func restoreWarm(cfg Config, blob []byte, srcs []workload.Source, seed uint64) (*Result, error) {
+	res, err := RunMultiOpt(cfg, []Scheme{cfg.Scheme}, srcs, MultiOptions{
+		Snapshots:    [][]byte{blob},
+		SnapshotSeed: seed,
+	})
+	if err != nil {
+		return nil, SlotErr(err, 0)
+	}
+	return res[0], nil
+}
+
 // TestGoldenSnapshotBranch extends the golden determinism contract to
 // the warm-state snapshot layer: for every golden scheme x inclusion
-// case, Warm + RunFromSnapshot must reproduce the straight-through
+// case, a one-scheme pass that captures its warm state and a second
+// one restored from that blob must both reproduce the straight-through
 // warmup+measure run bit-for-bit — over live generated sources, which
 // exercises every component's cursor capture/restore.
 func TestGoldenSnapshotBranch(t *testing.T) {
@@ -36,27 +71,23 @@ func TestGoldenSnapshotBranch(t *testing.T) {
 		name := fmt.Sprintf("%s/%s/prefetch=%v", tc.scheme, tc.incl, tc.prefetch)
 		t.Run(name, func(t *testing.T) {
 			cfg, wl := snapCfg(tc.scheme, tc.incl, tc.prefetch)
-			srcsA, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
-			if err != nil {
-				t.Fatal(err)
+			sources := func() []workload.Source {
+				s, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
 			}
-			straight, err := Run(cfg, srcsA)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srcsB, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob, err := Warm(cfg, srcsB, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			branched, err := RunFromSnapshot(cfg, blob, srcsB, 1)
+			straight, err := Run(cfg, sources())
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := goldenFingerprint(t, straight)
+			blob := captureWarm(t, cfg, sources(), want)
+			branched, err := restoreWarm(cfg, blob, sources(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if got := goldenFingerprint(t, branched); got != want {
 				t.Errorf("snapshot->restore->measure fingerprint %s, want straight-through %s", got, want)
 			}
@@ -243,14 +274,6 @@ func TestGoldenSnapshotBranchDiskTier(t *testing.T) {
 // blobs must be recoverable (fall back to a cold run), never applied.
 func TestSnapshotRejections(t *testing.T) {
 	cfg, wl := snapCfg(ReDHiP, Inclusive, false)
-	srcs, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := Warm(cfg, srcs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fresh := func() []workload.Source {
 		s, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
 		if err != nil {
@@ -258,29 +281,39 @@ func TestSnapshotRejections(t *testing.T) {
 		}
 		return s
 	}
+	blob := captureWarm(t, cfg, fresh(), "")
 
 	t.Run("corrupt blob", func(t *testing.T) {
 		bad := append([]byte(nil), blob...)
 		bad[len(bad)/2] ^= 0x40
-		if _, err := RunFromSnapshot(cfg, bad, fresh(), 1); !errors.Is(err, ErrSnapshot) {
+		if _, err := restoreWarm(cfg, bad, fresh(), 1); !errors.Is(err, ErrSnapshot) {
 			t.Errorf("corrupt blob error = %v, want ErrSnapshot", err)
 		}
 	})
 	t.Run("wrong scheme", func(t *testing.T) {
-		if _, err := RunFromSnapshot(cfg.WithScheme(Base), blob, fresh(), 1); !errors.Is(err, ErrSnapshot) {
+		if _, err := restoreWarm(cfg.WithScheme(Base), blob, fresh(), 1); !errors.Is(err, ErrSnapshot) {
 			t.Errorf("wrong-scheme error = %v, want ErrSnapshot", err)
 		}
 	})
 	t.Run("wrong seed", func(t *testing.T) {
-		if _, err := RunFromSnapshot(cfg, blob, fresh(), 2); !errors.Is(err, ErrSnapshot) {
+		if _, err := restoreWarm(cfg, blob, fresh(), 2); !errors.Is(err, ErrSnapshot) {
 			t.Errorf("wrong-seed error = %v, want ErrSnapshot", err)
 		}
 	})
 	t.Run("no warmup window", func(t *testing.T) {
 		cold := cfg
 		cold.WarmupRefsPerCore = 0
-		if _, err := Warm(cold, fresh(), 1); !errors.Is(err, ErrSnapshot) {
-			t.Errorf("warmup-free Warm error = %v, want ErrSnapshot", err)
+		if _, err := restoreWarm(cold, blob, fresh(), 1); !errors.Is(err, ErrSnapshot) {
+			t.Errorf("warmup-free restore error = %v, want ErrSnapshot", err)
+		}
+		fired := false
+		if _, err := RunMultiOpt(cold, []Scheme{cold.Scheme}, fresh(), MultiOptions{
+			SnapshotSink: func(Scheme, []byte) { fired = true },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if fired {
+			t.Error("SnapshotSink fired on a pass with no warmup boundary")
 		}
 	})
 	t.Run("measure length branches", func(t *testing.T) {
@@ -289,12 +322,11 @@ func TestSnapshotRejections(t *testing.T) {
 		// straight-through run.
 		long := cfg
 		long.RefsPerCore = 25_000
-		srcsA := fresh()
-		straight, err := Run(long, srcsA)
+		straight, err := Run(long, fresh())
 		if err != nil {
 			t.Fatal(err)
 		}
-		branched, err := RunFromSnapshot(long, blob, fresh(), 1)
+		branched, err := restoreWarm(long, blob, fresh(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

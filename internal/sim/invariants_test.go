@@ -19,11 +19,12 @@ func buildAndLoop(t *testing.T, cfg Config, wl string, seed uint64) *engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := newEngine(cfg, srcs)
+	e, err := newEngine(cfg, srcs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.loop(cfg.RefsPerCore)
+	e.beginWindow(cfg.RefsPerCore)
+	e.runWindow()
 	if e.fnSeen {
 		t.Fatalf("false negative for %v", e.fnBlock)
 	}

@@ -4,70 +4,121 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
-	"redhip/internal/simstate"
 	"redhip/internal/workload"
 )
 
-// MultiOptions tune a RunMulti pass without affecting its results:
+// MultiOptions tune a RunMultiOpt pass without affecting its results:
 // every knob here changes wall time and goroutine count only. The
 // simulated outcome is pinned by the golden fingerprint suite to be
-// bit-identical to sequential per-scheme Run calls at any parallelism.
+// bit-identical at any parallelism.
 type MultiOptions struct {
 	// Parallelism bounds the worker goroutines that advance per-scheme
 	// back halves (0 = GOMAXPROCS). It is clamped to the scheme count;
-	// when it exceeds the scheme count the surplus is granted to the
-	// engines as set-partitioned recalibration fan-out instead.
+	// the surplus is granted to the engines as set-partitioned
+	// recalibration fan-out instead. A one-scheme pass runs on the
+	// calling goroutine, so all of Parallelism goes to recalibration.
 	Parallelism int
-	// Interrupt, when non-nil, is polled between rounds; a non-nil
+	// Interrupt, when non-nil, is polled before every lockstep round,
+	// or before every source refill of a one-scheme pass; a non-nil
 	// error aborts the pass (no results). The experiment runner feeds
-	// its context's Err here so serve job timeouts cut long passes
-	// short at the next barrier instead of waiting out the full pass.
+	// its context's Err here so serve job timeouts and cancellations cut
+	// long passes short instead of waiting out the full pass.
 	Interrupt func() error
 	// Snapshots, when non-nil, replays each scheme's measure phase from
 	// a warm-state blob (Snapshots[i] pairs with schemes[i]) instead of
-	// simulating the warmup: the sources are re-seated at the boundary,
-	// the front generates measure blocks only, and each back half is
-	// restored before its first reference. Results are bit-identical to
-	// the straight-through pass. Unusable blobs fail their slot with an
-	// ErrSnapshot-wrapped error so callers can fall back to a cold pass.
+	// simulating the warmup: the sources are re-seated at the boundary
+	// and each engine is restored before its first reference. Results
+	// are bit-identical to the straight-through pass. Unusable blobs
+	// fail with an ErrSnapshot-wrapped error so callers can fall back to
+	// a cold pass.
 	Snapshots [][]byte
 	// SnapshotSink, when non-nil on a cold pass with a warmup window,
-	// receives each scheme's warm-state blob as its back half crosses
-	// the warmup/measure boundary. The callback runs on worker
-	// goroutines and may fire concurrently for different schemes; it
-	// must be safe for concurrent use. Capture requires every source to
-	// implement workload.OffsetStater (trace replays do; live
-	// generators cannot state their cursor at an un-simulated offset),
-	// otherwise the pass runs normally and the sink never fires.
+	// receives each scheme's warm-state blob as its engine crosses the
+	// warmup/measure boundary. On a lockstep pass the callback runs on
+	// worker goroutines and may fire concurrently for different
+	// schemes; it must be safe for concurrent use. Capture requires
+	// every source to state its cursor at the boundary: a one-scheme
+	// pass reads it live (workload.StateSource), a lockstep pass, whose
+	// front reads ahead, asks for it by offset (workload.OffsetStater:
+	// trace replays do; live generators cannot). Otherwise the pass
+	// runs normally and the sink never fires.
 	SnapshotSink func(scheme Scheme, blob []byte)
 	// SnapshotSeed labels captured blobs and validates restored ones:
 	// it must be the seed the sources were built with (sim.WarmKey).
 	SnapshotSeed uint64
 }
 
-// RunMulti simulates one trace pass under every requested scheme in
-// lockstep: the shared front half decodes/generates each core's
-// reference stream once, and one back half per scheme (hierarchy
-// state, predictor state, energy accounting) consumes the shared
-// blocks. Results are returned in schemes order and are bit-identical
-// to len(schemes) independent Run calls over equivalent sources —
-// per-scheme clocks mean the schemes share the trace, never hierarchy
-// state, so lockstep cannot couple them.
-//
-// On error the returned slice still holds results for the schemes that
-// completed; failed slots are nil and the error joins the per-scheme
-// failures.
+// RunMulti simulates one trace pass under every requested scheme and
+// returns the results in schemes order, bit-identical to one Run per
+// scheme over equivalent sources. It is RunMultiOpt with default
+// options.
 func RunMulti(cfg Config, schemes []Scheme, sources []workload.Source) ([]*Result, error) {
 	return RunMultiOpt(cfg, schemes, sources, MultiOptions{})
 }
 
-// RunMultiOpt is RunMulti with explicit options.
+// PassError is the error of a pass in which some schemes failed on
+// their own: an invalid scheme/inclusion combination, an unusable
+// snapshot, a false negative. Slots[i] is schemes[i]'s error, nil for
+// the schemes that completed.
+type PassError struct {
+	Schemes []Scheme
+	Slots   []error
+}
+
+func (e *PassError) Error() string {
+	var b strings.Builder
+	for i, err := range e.Slots {
+		if err != nil {
+			if b.Len() > 0 {
+				b.WriteByte('\n')
+			}
+			fmt.Fprintf(&b, "%s: %v", e.Schemes[i], err)
+		}
+	}
+	return b.String()
+}
+
+// Unwrap exposes the failed slots to errors.Is and errors.As.
+func (e *PassError) Unwrap() []error {
+	var out []error
+	for _, err := range e.Slots {
+		if err != nil {
+			out = append(out, err)
+		}
+	}
+	return out
+}
+
+// SlotErr returns scheme i's own error from a RunMultiOpt error: its
+// slot of a *PassError, or err itself when the whole pass failed.
+func SlotErr(err error, i int) error {
+	var pe *PassError
+	if errors.As(err, &pe) {
+		return pe.Slots[i]
+	}
+	return err
+}
+
+// RunMultiOpt is the simulation driver every run goes through. One
+// scheme gets one engine that refills straight from the sources and
+// runs inline on the calling goroutine. Two or more run in lockstep: a
+// shared front half decodes/generates each core's reference stream
+// once, and one back half per scheme (hierarchy state, predictor
+// state, energy accounting) consumes the shared blocks. Per-scheme
+// clocks mean the schemes share the trace, never hierarchy state, so
+// lockstep cannot couple them: results are bit-identical to one pass
+// per scheme.
+//
+// A scheme that fails on its own fails only its slot: the returned
+// slice still holds the other results, its slot is nil, and the error
+// is a *PassError. Any other error fails the whole pass and returns no
+// results.
 func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt MultiOptions) ([]*Result, error) {
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
+	start := time.Now() //redhip:allow wallclock -- Perf restore-time attribution only
 	if len(schemes) == 0 {
 		return nil, fmt.Errorf("sim: RunMulti needs at least one scheme")
 	}
@@ -77,45 +128,48 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 
 	// Restored mode: decode and cross-check the per-scheme warm blobs,
 	// re-seat the shared sources at the warmup/measure boundary, and
-	// strip the warmup window from the pass — the front then generates
-	// measure blocks only.
-	snaps, err := decodeMultiSnapshots(&cfg, schemes, sources, &opt)
+	// strip the warmup window from the pass — the engines then simulate
+	// the measure window only.
+	snaps, err := decodeSnapshots(&cfg, schemes, sources, &opt)
 	if err != nil {
 		return nil, err
 	}
+	var decodeNanos int64
 	runCfg := cfg
 	if snaps != nil {
+		decodeNanos = time.Since(start).Nanoseconds() //redhip:allow wallclock -- Perf restore-time attribution only
 		runCfg.WarmupRefsPerCore = 0
 	}
 
-	front, err := newTraceFront(&runCfg, sources)
-	if err != nil {
-		return nil, err
+	var front *traceFront
+	if len(schemes) > 1 {
+		front = newTraceFront(&runCfg, sources)
 	}
 	engines := make([]*engine, len(schemes))
 	errs := make([]error, len(schemes))
 	built := 0
 	for i, sc := range schemes {
-		e, err := newMultiEngine(runCfg.WithScheme(sc), front)
+		t0 := time.Now() //redhip:allow wallclock -- Perf simulate-time attribution only
+		e, err := newEngine(runCfg.WithScheme(sc), sources, front)
 		if err != nil {
 			// One invalid combination (e.g. CBF under Exclusive) fails
-			// its own slot, like the independent per-scheme runs did.
+			// its own slot only.
 			errs[i] = err
 			continue
 		}
 		if snaps != nil {
-			t0 := time.Now() //redhip:allow wallclock -- Perf restore-time attribution only
+			t1 := time.Now() //redhip:allow wallclock -- Perf restore-time attribution only
 			if rerr := e.restoreSnapshot(snaps[i]); rerr != nil {
 				errs[i] = fmt.Errorf("%w: %v", ErrSnapshot, rerr)
 				continue
 			}
-			e.restoreNanos = time.Since(t0).Nanoseconds() //redhip:allow wallclock -- Perf restore-time attribution only
+			e.restoreNanos = time.Since(t1).Nanoseconds() //redhip:allow wallclock -- Perf restore-time attribution only
 		}
+		e.simNanos = time.Since(t0).Nanoseconds() - e.restoreNanos //redhip:allow wallclock -- Perf simulate-time attribution only
 		engines[i] = e
 		built++
 	}
-	armSnapshotCapture(&cfg, schemes, engines, sources, front, snaps == nil, &opt)
-
+	armSnapshotCapture(&runCfg, schemes, engines, sources, front, &opt)
 	workers := opt.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -124,22 +178,79 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 		// Surplus workers sweep recalibration set partitions instead of
 		// idling; results stay bit-identical (RecalibrateParallel's
 		// contract), so the grant only changes wall time.
-		recal := workers / built
 		for _, e := range engines {
 			if e != nil {
-				e.recalWorkers = recal
+				e.recalWorkers = workers / built
 			}
 		}
 		workers = built
 	}
 
-	// Round-based lockstep: a single-threaded generate/retire phase
-	// alternates with a parallel simulate phase over the still-active
-	// engines. The barrier between phases is what makes the lock-free
-	// block sharing sound — storage is written only while no engine
-	// runs, and engines only read blocks the previous phase published.
-	active := make([]*engine, 0, built)
-	feeds := make([]*multiFeed, 0, built)
+	if front == nil {
+		if e := engines[0]; e != nil {
+			e.interrupt = opt.Interrupt
+			t0 := time.Now() //redhip:allow wallclock -- Perf simulate-time attribution only
+			e.start()
+			if !e.runChunk() {
+				return nil, e.runErr
+			}
+			e.simNanos += time.Since(t0).Nanoseconds() //redhip:allow wallclock -- Perf simulate-time attribution only
+		}
+	} else if err := runLockstep(front, engines, workers, &opt); err != nil {
+		return nil, err
+	}
+
+	// Deterministic reduction: results are assembled in schemes order,
+	// each from its own engine's independently accumulated state, so
+	// neither worker count nor chunk interleaving can reorder anything.
+	// The shared costs (front generation, snapshot decode) are split
+	// evenly with the remainder on the first slot.
+	out := make([]*Result, len(schemes))
+	failed := built < len(schemes)
+	var frontGen int64
+	if front != nil {
+		frontGen = front.genNanos
+	}
+	n, first := max(int64(built), 1), true
+	for i, e := range engines {
+		if e == nil {
+			continue
+		}
+		if e.runErr != nil {
+			errs[i] = e.runErr
+			failed = true
+			continue
+		}
+		gen, restore := frontGen/n, decodeNanos/n
+		if first {
+			gen, restore = gen+frontGen%n, restore+decodeNanos%n
+			first = false
+		}
+		p := &e.res.Perf
+		p.GenerateNanos = e.genNanos + gen
+		p.SimulateNanos = e.simNanos - e.genNanos
+		p.RestoreNanos = e.restoreNanos + restore
+		p.WallNanos = p.GenerateNanos + p.SimulateNanos + p.RestoreNanos
+		if secs := float64(p.WallNanos) / 1e9; secs > 0 {
+			p.RefsPerSec = float64(e.res.Refs) / secs
+		}
+		out[i] = e.res
+	}
+	if failed {
+		return out, &PassError{Schemes: schemes, Slots: errs}
+	}
+	return out, nil
+}
+
+// runLockstep drives two or more back halves over the shared front in
+// rounds: a single-threaded generate/retire phase alternates with a
+// parallel simulate phase over the still-active engines. The barrier
+// between phases is what makes the lock-free block sharing sound —
+// storage is written only while no engine runs, and engines only read
+// blocks the previous phase published.
+func runLockstep(front *traceFront, engines []*engine, workers int, opt *MultiOptions) error {
+	active := make([]*engine, 0, len(engines))
+	feeds := make([]*multiFeed, 0, len(engines))
 	for _, e := range engines {
 		if e != nil {
 			e.start()
@@ -152,10 +263,10 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 	for len(active) > 0 {
 		if opt.Interrupt != nil {
 			if err := opt.Interrupt(); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		for c := 0; c < cfg.Cores; c++ {
+		for c := 0; c < front.cores; c++ {
 			minCur, maxCur := frontCursorBounds(feeds, c)
 			front.retire(c, minCur)
 			front.extend(c, maxCur+frontLookahead)
@@ -195,185 +306,5 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 		}
 		active, feeds = next, nextFeeds
 	}
-
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
-
-	// Deterministic reduction: results are assembled in schemes order,
-	// each from its own engine's independently accumulated state, so
-	// neither worker count nor chunk interleaving can reorder anything.
-	// The shared costs (generation wall time, allocation counters) are
-	// split evenly with the remainder on the first slot.
-	out := make([]*Result, len(schemes))
-	n := int64(built)
-	if n == 0 {
-		return out, errors.Join(errs...)
-	}
-	genShare, genRem := front.genNanos/n, front.genNanos%n
-	allocShare := (memAfter.TotalAlloc - memBefore.TotalAlloc) / uint64(n)
-	mallocShare := (memAfter.Mallocs - memBefore.Mallocs) / uint64(n)
-	first := true
-	failed := false
-	for i, e := range engines {
-		if e == nil {
-			failed = true
-			continue
-		}
-		if e.runErr != nil {
-			errs[i] = fmt.Errorf("%s: %w", schemes[i], e.runErr)
-			failed = true
-			continue
-		}
-		gen := genShare
-		if first {
-			gen += genRem
-			first = false
-		}
-		e.res.Perf = PerfStats{
-			WallNanos:     e.simNanos + gen + e.restoreNanos,
-			GenerateNanos: gen,
-			SimulateNanos: e.simNanos,
-			RestoreNanos:  e.restoreNanos,
-			AllocBytes:    allocShare,
-			Mallocs:       mallocShare,
-		}
-		if secs := float64(e.res.Perf.WallNanos) / 1e9; secs > 0 {
-			e.res.Perf.RefsPerSec = float64(e.res.Refs) / secs
-		}
-		out[i] = e.res
-	}
-	if failed {
-		return out, errors.Join(errs...)
-	}
-	return out, nil
-}
-
-// decodeMultiSnapshots validates opt.Snapshots against the pass and
-// re-seats the shared sources at the warmup/measure boundary. It
-// returns nil when the pass runs cold (no snapshots requested);
-// failures wrap ErrSnapshot so callers can fall back to a cold pass.
-func decodeMultiSnapshots(cfg *Config, schemes []Scheme, sources []workload.Source, opt *MultiOptions) ([]*simstate.Snapshot, error) {
-	if len(opt.Snapshots) == 0 {
-		return nil, nil
-	}
-	if len(opt.Snapshots) != len(schemes) {
-		return nil, fmt.Errorf("%w: %d snapshots for %d schemes", ErrSnapshot, len(opt.Snapshots), len(schemes))
-	}
-	if cfg.WarmupRefsPerCore == 0 {
-		return nil, fmt.Errorf("%w: configuration has no warmup window to restore into", ErrSnapshot)
-	}
-	states, err := stateSources(sources)
-	if err != nil {
-		return nil, err
-	}
-	name := sources[0].Name()
-	snaps := make([]*simstate.Snapshot, len(schemes))
-	for i, blob := range opt.Snapshots {
-		s, err := simstate.Decode(blob)
-		if err != nil {
-			return nil, fmt.Errorf("%w: scheme %s: %v", ErrSnapshot, schemes[i], err)
-		}
-		scfg := cfg.WithScheme(schemes[i])
-		if err := validateWarmMeta(&s.Meta, &scfg, name, opt.SnapshotSeed); err != nil {
-			return nil, fmt.Errorf("scheme %s: %w", schemes[i], err)
-		}
-		snaps[i] = s
-	}
-	// Every scheme consumed the same warm prefix, so the source cursors
-	// must agree blob-for-blob; a divergence means the blobs are not
-	// siblings of one warm lineage.
-	for i := 1; i < len(snaps); i++ {
-		if !sourceStatesEqual(snaps[0].Sources, snaps[i].Sources) {
-			return nil, fmt.Errorf("%w: schemes %s and %s disagree on source cursors", ErrSnapshot, schemes[0], schemes[i])
-		}
-	}
-	if len(snaps[0].Sources) != len(states) {
-		return nil, fmt.Errorf("%w: snapshot has %d source cursors, want %d", ErrSnapshot, len(snaps[0].Sources), len(states))
-	}
-	for i, ss := range states {
-		if err := ss.RestoreState(snaps[0].Sources[i]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
-		}
-	}
-	return snaps, nil
-}
-
-func sourceStatesEqual(a, b [][]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// armSnapshotCapture installs per-engine warm-state capture hooks on a
-// cold pass when the caller asked for them and every source can state
-// its cursor at the warmup boundary (workload.OffsetStater — the front
-// reads ahead of engine consumption, so the live cursor is useless).
-// The hooks fire inside worker goroutines as each back half crosses its
-// boundary; opt.SnapshotSink's concurrency contract covers that.
-func armSnapshotCapture(cfg *Config, schemes []Scheme, engines []*engine, sources []workload.Source, front *traceFront, cold bool, opt *MultiOptions) {
-	if !cold || opt.SnapshotSink == nil || cfg.WarmupRefsPerCore == 0 {
-		return
-	}
-	srcState := make([][]uint64, len(sources))
-	for i, s := range sources {
-		os, ok := s.(workload.OffsetStater)
-		if !ok {
-			return
-		}
-		st, err := os.StateAt(cfg.WarmupRefsPerCore)
-		if err != nil {
-			return
-		}
-		srcState[i] = st
-	}
-	for i, e := range engines {
-		if e == nil {
-			continue
-		}
-		sc := schemes[i]
-		scfg := cfg.WithScheme(sc)
-		meta := warmMeta(&scfg, front.name, opt.SnapshotSeed)
-		ee := e
-		e.snapSink = func() {
-			snap := ee.captureSnapshot()
-			snap.Meta = meta
-			snap.Sources = srcState
-			opt.SnapshotSink(sc, simstate.Encode(snap))
-		}
-	}
-}
-
-// newMultiEngine builds a back half fed from the shared front instead
-// of owning sources. Identical construction to newEngine otherwise, so
-// the back half's simulated behaviour cannot diverge from a solo run.
-func newMultiEngine(cfg Config, front *traceFront) (*engine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	e := &engine{
-		cfg: &cfg,
-		par: &cfg.Energy,
-		res: &Result{
-			Workload:  front.name,
-			Scheme:    cfg.Scheme,
-			Inclusion: cfg.Inclusion,
-		},
-		feed: newMultiFeed(front),
-	}
-	if err := e.build(); err != nil {
-		return nil, err
-	}
-	copy(e.cpi, front.cpi)
-	return e, nil
+	return nil
 }

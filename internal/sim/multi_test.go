@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
+	"redhip/internal/tracestore"
 	"redhip/internal/workload"
 )
 
@@ -113,6 +116,87 @@ func TestRunMultiInvalidSlot(t *testing.T) {
 		if results[i] == nil {
 			t.Errorf("%s: valid slot failed alongside the invalid one", schemes[i])
 		}
+		if SlotErr(err, i) != nil {
+			t.Errorf("%s: valid slot carries error %v", schemes[i], SlotErr(err, i))
+		}
+	}
+	cbf := cfg.WithScheme(CBF)
+	want := cbf.Validate()
+	if got := SlotErr(err, 1); got == nil || got.Error() != want.Error() {
+		t.Errorf("CBF slot error = %v, want its own validation error %v", got, want)
+	}
+}
+
+// TestPerfStatsAddUp pins PerfStats' one definition on every path: the
+// generate, simulate and restore slices add up to the wall time, and a
+// restored pass reports its restore time.
+func TestPerfStatsAddUp(t *testing.T) {
+	cfg := Smoke()
+	cfg.WarmupRefsPerCore = 5_000
+	cfg.RefsPerCore = 10_000
+	schemes := Schemes()
+	store := tracestore.New(0)
+	sources := func() []workload.Source {
+		mat, err := store.Get(tracestore.Key{
+			Workload: "mcf", Cores: cfg.Cores, Scale: cfg.WorkloadScale, Seed: 1,
+			RefsPerCore: cfg.WarmupRefsPerCore + cfg.RefsPerCore,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mat.Sources()
+	}
+	check := func(name string, results []*Result, restored bool) {
+		t.Helper()
+		for i, res := range results {
+			p := res.Perf
+			if p.GenerateNanos+p.SimulateNanos+p.RestoreNanos != p.WallNanos {
+				t.Errorf("%s slot %d: generate %d + simulate %d + restore %d != wall %d",
+					name, i, p.GenerateNanos, p.SimulateNanos, p.RestoreNanos, p.WallNanos)
+			}
+			if p.WallNanos <= 0 || p.SimulateNanos <= 0 {
+				t.Errorf("%s slot %d: wall %d, simulate %d, want both > 0", name, i, p.WallNanos, p.SimulateNanos)
+			}
+			if restored != (p.RestoreNanos > 0) {
+				t.Errorf("%s slot %d: RestoreNanos = %d on a restored=%v pass", name, i, p.RestoreNanos, restored)
+			}
+		}
+	}
+	// pass runs a cold pass that captures every scheme's blob, then a
+	// pass restored from them, and checks both.
+	pass := func(name string, schemes []Scheme, par int) {
+		blobs := make([][]byte, len(schemes))
+		var mu sync.Mutex
+		cold, err := RunMultiOpt(cfg, schemes, sources(), MultiOptions{
+			Parallelism:  par,
+			SnapshotSeed: 1,
+			SnapshotSink: func(sc Scheme, blob []byte) {
+				mu.Lock()
+				defer mu.Unlock()
+				blobs[slices.Index(schemes, sc)] = blob
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name+"/cold", cold, false)
+		restored, err := RunMultiOpt(cfg, schemes, sources(), MultiOptions{
+			Parallelism: par, Snapshots: blobs, SnapshotSeed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name+"/restored", restored, true)
+	}
+
+	res, err := Run(cfg.WithScheme(ReDHiP), sources())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Run", []*Result{res}, false)
+	pass("one-scheme", []Scheme{ReDHiP}, 1)
+	for _, par := range []int{1, 2, runtime.NumCPU()} {
+		pass(fmt.Sprintf("five-scheme/par=%d", par), schemes, par)
 	}
 }
 
@@ -120,23 +204,31 @@ func TestRunMultiInvalidSlot(t *testing.T) {
 // stops the pass before completion with no results.
 func TestRunMultiInterrupt(t *testing.T) {
 	cfg := Smoke()
-	srcs, err := workload.Sources("mcf", cfg.Cores, cfg.WorkloadScale, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantErr := fmt.Errorf("deadline exceeded")
-	polls := 0
-	results, err := RunMultiOpt(cfg, []Scheme{Base, ReDHiP}, srcs, MultiOptions{
-		Interrupt: func() error {
-			polls++
-			if polls > 1 {
-				return wantErr
-			}
-			return nil
-		},
-	})
-	if err == nil || results != nil {
-		t.Fatalf("interrupted pass returned results=%v err=%v", results, err)
+	// A one-scheme pass polls before every source refill, a lockstep
+	// pass before every round; both must stop mid-pass, not only before
+	// it starts.
+	for _, schemes := range [][]Scheme{{Base, ReDHiP}, {ReDHiP}} {
+		srcs, err := workload.Sources("mcf", cfg.Cores, cfg.WorkloadScale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantErr := fmt.Errorf("deadline exceeded")
+		polls := 0
+		results, err := RunMultiOpt(cfg, schemes, srcs, MultiOptions{
+			Interrupt: func() error {
+				polls++
+				if polls > 1 {
+					return wantErr
+				}
+				return nil
+			},
+		})
+		if err != wantErr || results != nil {
+			t.Fatalf("%v: interrupted pass returned results=%v err=%v", schemes, results, err)
+		}
+		if polls != 2 {
+			t.Fatalf("%v: pass polled %d times after the interrupt fired, want it to stop at poll 2", schemes, polls)
+		}
 	}
 }
 

@@ -77,30 +77,31 @@ type Result struct {
 	Perf PerfStats `json:"-"`
 }
 
-// PerfStats measures the simulator, not the simulated machine: how fast
-// this run executed and how much it allocated. Wall time is per-run;
-// the allocation counters read process-global runtime.MemStats deltas,
-// so concurrent runs (the experiment runner's worker pool) pollute each
-// other's numbers — treat them as an upper bound there.
+// PerfStats measures the simulator, not the simulated machine: how long
+// a RunMultiOpt pass spent on one scheme, and on what. Always
+// GenerateNanos + SimulateNanos + RestoreNanos == WallNanos.
 type PerfStats struct {
-	// WallNanos is the wall-clock duration of sim.Run.
+	// WallNanos is the wall time the pass attributes to this scheme. On
+	// a one-scheme pass (and so for sim.Run) that is the whole pass but
+	// for a few bookkeeping steps. On a lockstep pass the schemes run
+	// concurrently, so it is the scheme's own share: its engine's
+	// construction, restore and simulation, plus an even share of the
+	// work the schemes share (generating the blocks, decoding the
+	// snapshots, re-seating the sources).
 	WallNanos int64
-	// GenerateNanos is the slice of WallNanos spent refilling the
-	// per-core record windows from the workload sources (trace
-	// generation or replay); SimulateNanos is the remainder — the
-	// hierarchy walk itself. Generate + Simulate == Wall up to the
-	// engine-construction overhead folded into SimulateNanos.
+	// GenerateNanos is the time spent filling record windows from the
+	// workload sources (trace generation or replay).
 	GenerateNanos int64
+	// SimulateNanos is the engine's construction plus the hierarchy
+	// walk itself.
 	SimulateNanos int64
-	// RestoreNanos is the slice of WallNanos spent decoding and applying
-	// a warm-state snapshot (zero for cold runs). See sim.RunFromSnapshot.
+	// RestoreNanos is the time spent decoding and validating warm-state
+	// snapshots, re-seating the source cursors and restoring the engine
+	// (zero for cold runs).
 	RestoreNanos int64
-	// RefsPerSec is Refs divided by wall time: the simulator's
+	// RefsPerSec is Refs divided by WallNanos: the simulator's
 	// throughput headline tracked in BENCH_baseline.json.
 	RefsPerSec float64
-	// AllocBytes and Mallocs are heap-allocation deltas over the run.
-	AllocBytes uint64
-	Mallocs    uint64
 }
 
 // AdaptiveStats counts the adaptive-disable monitor's decisions.
