@@ -223,12 +223,14 @@ type rewinder interface{ Rewind() }
 // engineLoopBench measures sim.Run's steady-state reference loop by
 // replaying pre-captured in-memory traces, so workload generation cost
 // is excluded and the metric isolates the simulation core. refs/s is
-// the headline number BENCH_baseline.json tracks across PRs.
-func engineLoopBench(b *testing.B, scheme redhip.Scheme, workloadName string) {
+// the headline number BENCH_baseline.json tracks across PRs; ns/ref is
+// its inverse, the per-reference cost the core-count sweep compares.
+func engineLoopBench(b *testing.B, scheme redhip.Scheme, workloadName string, cores int) {
 	b.Helper()
 	cfg := redhip.SmokeConfig()
 	cfg.RefsPerCore = 50_000
 	cfg.Scheme = scheme
+	cfg.Cores = cores
 	gen, err := redhip.WorkloadSources(workloadName, cfg.Cores, cfg.WorkloadScale, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -251,16 +253,24 @@ func engineLoopBench(b *testing.B, scheme redhip.Scheme, workloadName string) {
 		refs += res.Refs
 	}
 	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
+	if secs := b.Elapsed().Seconds(); secs > 0 && refs > 0 {
 		b.ReportMetric(float64(refs)/secs, "refs/s")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(refs), "ns/ref")
 	}
 }
 
+// BenchmarkEngineLoop runs each scheme on the smoke geometry's 4 cores;
+// ReDHiP also runs at 6, 8 and 16 cores. 6 cores pad the scheduler
+// tree to 8 leaves, the other counts fill it.
 func BenchmarkEngineLoop(b *testing.B) {
-	b.Run("base", func(b *testing.B) { engineLoopBench(b, redhip.Base, "mcf") })
-	b.Run("redhip", func(b *testing.B) { engineLoopBench(b, redhip.ReDHiP, "mcf") })
-	b.Run("cbf", func(b *testing.B) { engineLoopBench(b, redhip.CBF, "mcf") })
-	b.Run("oracle", func(b *testing.B) { engineLoopBench(b, redhip.Oracle, "mcf") })
+	b.Run("base", func(b *testing.B) { engineLoopBench(b, redhip.Base, "mcf", 4) })
+	b.Run("redhip", func(b *testing.B) {
+		for _, cores := range []int{4, 6, 8, 16} {
+			b.Run("cores="+strconv.Itoa(cores), func(b *testing.B) { engineLoopBench(b, redhip.ReDHiP, "mcf", cores) })
+		}
+	})
+	b.Run("cbf", func(b *testing.B) { engineLoopBench(b, redhip.CBF, "mcf", 4) })
+	b.Run("oracle", func(b *testing.B) { engineLoopBench(b, redhip.Oracle, "mcf", 4) })
 }
 
 func BenchmarkSimulatorThroughput(b *testing.B) {

@@ -161,18 +161,18 @@ func Run(ctx context.Context, p Profile, opts Options) (*Report, error) {
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	var wg sync.WaitGroup
-scheduling:
 	for _, a := range schedule {
-		d := time.Until(start.Add(a.At))
-		if d > 0 {
+		if d := time.Until(start.Add(a.At)); d > 0 {
 			timer.Reset(d)
 			select {
 			case <-timer.C:
 			case <-ctx.Done():
-				break scheduling
 			}
-		} else if ctx.Err() != nil {
-			break scheduling
+		}
+		// Checked after the wait, not only in the select: when the timer
+		// and the cancellation are both ready, select picks either.
+		if ctx.Err() != nil {
+			break
 		}
 		wg.Add(1)
 		go func(spec json.RawMessage, acc *cohortAcc) {

@@ -22,7 +22,7 @@ func skipUnderAsserts(t *testing.T) {
 }
 
 // TestRunLoopAllocationFree pins the steady-state contract of the
-// simulation core: once the engine is built (scheduler heap, prefetch
+// simulation core: once the engine is built (scheduler tree, prefetch
 // filter and recalibration scratch buffers are all preallocated), the
 // reference loop performs zero heap allocations regardless of scheme.
 // Sources are in-memory trace replays so workload generation cannot

@@ -205,3 +205,88 @@ func TestGoldenFingerprints(t *testing.T) {
 		})
 	}
 }
+
+// wideGoldenCases pin the paper's 8-core geometry (and one 6-core
+// machine, whose core count is not a power of two) in this module: the
+// Smoke cases above all run 4 cores. Windows are short, with a warmup,
+// and the recalibration period is cut so the ReDHiP runs recalibrate
+// many times, each a uniform stall of every core's clock.
+var wideGoldenCases = []struct {
+	scheme   Scheme
+	cores    int
+	prefetch bool
+	want     string
+}{
+	{Base, 8, false, "36727d6041d8b1a8"},
+	{Phased, 8, false, "c15f0abdca2be778"},
+	{CBF, 8, false, "3acf2ef57f868588"},
+	{ReDHiP, 8, false, "651000dcc7683c15"},
+	{Oracle, 8, false, "b324e7c2d5d79447"},
+	{ReDHiP, 6, true, "bbd00c93d8427c7b"},
+}
+
+func wideGoldenConfig(cores int, prefetch bool) Config {
+	cfg := Scaled()
+	cfg.Cores = cores
+	cfg.EnablePrefetch = prefetch
+	cfg.WarmupRefsPerCore = 10_000
+	cfg.RefsPerCore = 30_000
+	cfg.RecalPeriod = 4_000
+	return cfg
+}
+
+// TestGoldenFingerprintsWide checks the wide cases through solo runs
+// and, for the 8-core schemes together, through one lockstep pass.
+func TestGoldenFingerprintsWide(t *testing.T) {
+	var schemes []Scheme
+	var want []string
+	for _, tc := range wideGoldenCases {
+		name := fmt.Sprintf("%s/cores=%d/prefetch=%v", tc.scheme, tc.cores, tc.prefetch)
+		cfg := wideGoldenConfig(tc.cores, tc.prefetch)
+		cfg.Scheme = tc.scheme
+		wl := "mcf"
+		if tc.prefetch {
+			wl = "milc"
+		}
+		srcs, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(cfg, srcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.scheme == ReDHiP && res.Pred.Recalibrations == 0 {
+			t.Errorf("%s: no recalibration, so the case pins no clock bump", name)
+		}
+		got := goldenFingerprint(t, res)
+		if *captureGolden {
+			t.Logf("golden: {%s, %d, %v, \"%s\"},", tc.scheme, tc.cores, tc.prefetch, got)
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", name, got, tc.want)
+		}
+		if tc.cores == 8 && !tc.prefetch {
+			schemes = append(schemes, tc.scheme)
+			want = append(want, tc.want)
+		}
+	}
+	if *captureGolden {
+		return
+	}
+	cfg := wideGoldenConfig(8, false)
+	srcs, err := workload.Sources("mcf", cfg.Cores, cfg.WorkloadScale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := RunMultiOpt(cfg, schemes, srcs, MultiOptions{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sc := range schemes {
+		if got := goldenFingerprint(t, results[i]); got != want[i] {
+			t.Errorf("%s: lockstep fingerprint %s, want %s", sc, got, want[i])
+		}
+	}
+}
